@@ -4,14 +4,16 @@
 //! generated C/OpenMP code. Loads and stores are resolved to (array, linear
 //! offset) pairs — once per (kernel, storage geometry), the resulting
 //! [`Plan`] is cached — and the spatial loops then execute the tape's level
-//! sections at the right loop depths (LICM hoisting). Three loop drivers:
-//! serial, rayon-parallel over the outermost loop (the OpenMP analogue),
-//! and the strip-mined vectorized engine in [`crate::vector`] (the paper's
-//! explicitly vectorized kernels, §3.5).
+//! sections at the right loop depths (LICM hoisting). Two loop drivers
+//! interpret the tape: serial, and the strip-mined vectorized engine in
+//! [`crate::vector`] (the paper's explicitly vectorized kernels, §3.5),
+//! which runs slabs of the outermost loop across the rayon pool (the
+//! OpenMP analogue); the native engine runs it as compiled code.
 //!
 //! The only `unsafe` in the whole workspace lives in this crate: the
-//! parallel paths write disjoint outer-loop slabs of the destination arrays
-//! through a shared pointer ([`RawSlice`]). The disjointness invariant —
+//! vectorized engine's threads write disjoint outer-loop slabs of the
+//! destination arrays through a shared pointer ([`RawSlice`]), and
+//! [`crate::native`] calls into generated code. The disjointness invariant —
 //! every store hits the centre cell along the outer loop dimension, so two
 //! outer indices can never write the same address — is checked before any
 //! memory is touched; violations surface as a typed [`ExecError`] (and
@@ -22,7 +24,6 @@ use pf_fields::FieldArray;
 use pf_grid::IterRegion;
 use pf_ir::{Tape, TapeOp};
 use pf_rng::CellRng;
-use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -57,9 +58,6 @@ impl Default for RunCtx {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ExecMode {
     Serial,
-    /// Parallelize the outermost spatial loop across the rayon pool,
-    /// one cell at a time (scalar interpretation).
-    Parallel,
     /// Strip-mined batch execution: interpret the tape over x-strips of
     /// [`crate::STRIP_WIDTH`] cells with SoA lane registers, parallelized
     /// over cache-blocked outer-loop slabs. Bitwise identical to `Serial`.
@@ -72,12 +70,35 @@ pub enum ExecMode {
     Native,
 }
 
+impl ExecMode {
+    /// Every engine.
+    pub const ALL: [ExecMode; 3] = [ExecMode::Serial, ExecMode::Vectorized, ExecMode::Native];
+
+    /// The engine's name in `PF_EXEC_MODE` / `PF_BENCH_EXEC`, bench
+    /// artifacts and reports; [`std::str::FromStr`] is its inverse.
+    pub fn name(self) -> &'static str {
+        match self {
+            ExecMode::Serial => "serial",
+            ExecMode::Vectorized => "vectorized",
+            ExecMode::Native => "native",
+        }
+    }
+}
+
+impl std::str::FromStr for ExecMode {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        ExecMode::ALL.into_iter().find(|m| m.name() == s).ok_or(())
+    }
+}
+
 /// Typed launch failure. Detected before any memory is written, so the
 /// bound storage is untouched when an error is returned.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecError {
-    /// Parallel and vectorized execution partition the outer spatial loop
-    /// across threads; a store at a nonzero offset along that dimension
+    /// Vectorized execution partitions the outer spatial loop across
+    /// threads; a store at a nonzero offset along that dimension
     /// would let two partitions write the same cell. Run such kernels
     /// serially (or reschedule the store to the centre cell).
     NonCentreStore {
@@ -351,7 +372,8 @@ fn resolve_cached(
     plan
 }
 
-/// Shared mutable view over a write array for the parallel paths. Safety
+/// Shared mutable view over a write array for the vectorized engine's
+/// worker threads. Safety
 /// rests on the caller guaranteeing disjoint index sets per thread.
 #[derive(Clone, Copy)]
 pub(crate) struct RawSlice {
@@ -532,8 +554,8 @@ pub fn run_kernel_region_checked(
         mode
     };
 
-    // Partitioned execution (Parallel and Vectorized) splits the outer
-    // spatial loop across threads; stores off-centre along that dimension
+    // Partitioned execution (Vectorized) splits the outer spatial loop
+    // across threads; stores off-centre along that dimension
     // would let two partitions write the same cell. Checked before any
     // array is taken out of the store, so an `Err` leaves it untouched.
     if mode != ExecMode::Serial {
@@ -690,40 +712,6 @@ pub fn run_kernel_region_checked(
                         o,
                     );
                 }
-            }
-            ExecMode::Parallel => {
-                let raw: Vec<RawSlice> = writes
-                    .iter_mut()
-                    .map(|a| {
-                        let d = a.data_mut();
-                        RawSlice {
-                            ptr: d.as_mut_ptr(),
-                            len: d.len(),
-                        }
-                    })
-                    .collect();
-                let raw = &raw;
-                let plan_ref = &*plan;
-                let read_data = &read_data;
-                (region.lo[order[0]]..region.hi[order[0]])
-                    .into_par_iter()
-                    .for_each_init(
-                        || vec![0.0f64; tape.instrs.len()],
-                        |regs, o| {
-                            let mut cell = CellCursor::new(tape, plan_ref, params, ctx, region);
-                            cell.exec_section(regs, read_data, 0, plan_ref.sec[0], [0; 3]);
-                            cell.run_outer(
-                                regs,
-                                read_data,
-                                // SAFETY: distinct `o` values write disjoint
-                                // cells (centre stores along the outer loop,
-                                // checked above), and each array index is in
-                                // bounds by construction of the plan deltas.
-                                &mut |idx, v, arr| unsafe { raw[arr].write(idx, v) },
-                                o,
-                            );
-                        },
-                    );
             }
             ExecMode::Vectorized => {
                 let raw: Vec<RawSlice> = writes
@@ -1069,21 +1057,15 @@ mod tests {
     }
 
     #[test]
-    fn serial_parallel_and_vectorized_agree_bitwise() {
+    fn serial_and_vectorized_agree_bitwise() {
         // 20 % 8 = 4: the vectorized run exercises the remainder loop too.
         let (src, dst, tape) = heat_tapes();
         let mut s1 = setup(src, dst, 20);
         let mut s2 = setup(src, dst, 20);
-        let mut s3 = setup(src, dst, 20);
-        for (store, mode) in [
-            (&mut s1, ExecMode::Serial),
-            (&mut s2, ExecMode::Parallel),
-            (&mut s3, ExecMode::Vectorized),
-        ] {
+        for (store, mode) in [(&mut s1, ExecMode::Serial), (&mut s2, ExecMode::Vectorized)] {
             run_kernel(&tape, store, &[], [20, 20, 1], &RunCtx::default(), mode);
         }
         assert_eq!(s1.get(dst).max_abs_diff(s2.get(dst)), 0.0);
-        assert_eq!(s1.get(dst).max_abs_diff(s3.get(dst)), 0.0);
     }
 
     #[test]
@@ -1116,30 +1098,29 @@ mod tests {
         let mut serial = mk();
         run_kernel(&tape, &mut serial, &[], [8, 4, 4], &ctx, ExecMode::Serial);
 
-        for mode in [ExecMode::Parallel, ExecMode::Vectorized] {
-            let mut s = mk();
-            let err = run_kernel_checked(&tape, &mut s, &[], [8, 4, 4], &ctx, mode)
-                .expect_err("off-centre outer store must be rejected");
-            match &err {
-                ExecError::NonCentreStore {
-                    kernel,
-                    dim,
-                    offset,
-                } => {
-                    assert_eq!(kernel, "nc_store");
-                    assert_eq!(*dim, 2);
-                    assert_eq!(*offset, 1);
-                }
-                other => panic!("expected NonCentreStore, got {other:?}"),
+        let mode = ExecMode::Vectorized;
+        let mut s = mk();
+        let err = run_kernel_checked(&tape, &mut s, &[], [8, 4, 4], &ctx, mode)
+            .expect_err("off-centre outer store must be rejected");
+        match &err {
+            ExecError::NonCentreStore {
+                kernel,
+                dim,
+                offset,
+            } => {
+                assert_eq!(kernel, "nc_store");
+                assert_eq!(*dim, 2);
+                assert_eq!(*offset, 1);
             }
-            assert!(err.to_string().contains("outer loop"), "{err}");
-            // Checked failure leaves the destination untouched…
-            assert!(s.get(dst).max_abs_diff(serial.get(dst)) > 0.0);
-            // …and the infallible API completes via the serial fallback.
-            let mut f = mk();
-            run_kernel(&tape, &mut f, &[], [8, 4, 4], &ctx, mode);
-            assert_eq!(f.get(dst).max_abs_diff(serial.get(dst)), 0.0);
+            other => panic!("expected NonCentreStore, got {other:?}"),
         }
+        assert!(err.to_string().contains("outer loop"), "{err}");
+        // Checked failure leaves the destination untouched…
+        assert!(s.get(dst).max_abs_diff(serial.get(dst)) > 0.0);
+        // …and the infallible API completes via the serial fallback.
+        let mut f = mk();
+        run_kernel(&tape, &mut f, &[], [8, 4, 4], &ctx, mode);
+        assert_eq!(f.get(dst).max_abs_diff(serial.get(dst)), 0.0);
     }
 
     #[test]
@@ -1220,7 +1201,7 @@ mod tests {
             seed: 42,
             ..RunCtx::default()
         };
-        for mode in [ExecMode::Serial, ExecMode::Parallel, ExecMode::Vectorized] {
+        for mode in [ExecMode::Serial, ExecMode::Vectorized] {
             let mut full = mk();
             run_kernel(&tape, &mut full, &[], domain, &ctx, mode);
             let mut split = mk();
@@ -1401,13 +1382,11 @@ mod tests {
             store.take(dst)
         };
         let a = run(ExecMode::Serial);
-        let b = run(ExecMode::Parallel);
         let c = run(ExecMode::Vectorized);
-        assert_eq!(a.max_abs_diff(&b), 0.0, "Philox must be order-independent");
         assert_eq!(
             a.max_abs_diff(&c),
             0.0,
-            "per-strip Philox lanes match serial"
+            "Philox must be order-independent: per-strip lanes match serial"
         );
         // And nonzero noise was actually produced.
         assert!(a.interior_sum(0).abs() > 0.0 || a.get(0, 1, 1, 0) != 0.0);

@@ -63,7 +63,7 @@ fn bench_variants(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_parallel(c: &mut Criterion) {
+fn bench_executor_modes(c: &mut Criterion) {
     let p = p1();
     let ks = kernels_for(&p);
     let shape = [32usize, 32, 16];
@@ -75,14 +75,15 @@ fn bench_parallel(c: &mut Criterion) {
     let mut g = c.benchmark_group("executor_modes");
     g.throughput(Throughput::Elements(cells));
     g.sample_size(10);
-    for (name, mode) in [
-        ("serial", ExecMode::Serial),
-        ("parallel", ExecMode::Parallel),
-    ] {
-        g.bench_with_input(BenchmarkId::new("mu_full", name), &mode, |b, &mode| {
-            let mut store = workload_store(&p, &ks, shape);
-            b.iter(|| run_kernel(&ks.mu_full, &mut store, &[], shape, &ctx, mode));
-        });
+    for mode in [ExecMode::Serial, ExecMode::Vectorized] {
+        g.bench_with_input(
+            BenchmarkId::new("mu_full", mode.name()),
+            &mode,
+            |b, &mode| {
+                let mut store = workload_store(&p, &ks, shape);
+                b.iter(|| run_kernel(&ks.mu_full, &mut store, &[], shape, &ctx, mode));
+            },
+        );
     }
     g.finish();
 }
@@ -133,7 +134,7 @@ fn bench_approx_math(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_variants,
-    bench_parallel,
+    bench_executor_modes,
     bench_p2_anisotropy,
     bench_approx_math
 );

@@ -60,6 +60,7 @@
 //! runs it over every artifact of a bench-smoke run; `scripts/perf_gate.sh`
 //! diffs fresh runs against the committed baselines.
 
+use pf_backend::ExecMode;
 use pf_trace::{Json, Report};
 use std::collections::BTreeMap;
 
@@ -88,7 +89,7 @@ pub const WEAK_SCALING_POINT_FIELDS: [&str; 5] = [
 ];
 
 /// Required string fields of each `extra.tuning.kernels[]` entry. The two
-/// `*_mode` fields must also be members of [`EXEC_MODES`].
+/// `*_mode` fields must also be engine names ([`ExecMode::name`]).
 pub const TUNING_KERNEL_STR_FIELDS: [&str; 6] = [
     "params",
     "kernel",
@@ -120,7 +121,9 @@ pub const MEASURED_OVERLAP_FIELDS: [&str; 6] = [
 ];
 
 /// Execution-engine names a kernel record may carry (`KernelPerf::mode`).
-pub const EXEC_MODES: [&str; 4] = ["serial", "parallel", "vectorized", "native"];
+fn exec_mode_names() -> [&'static str; 3] {
+    ExecMode::ALL.map(ExecMode::name)
+}
 
 /// Measured-vs-predicted record for one kernel variant.
 #[derive(Clone, Debug, PartialEq)]
@@ -131,8 +134,8 @@ pub struct KernelPerf {
     pub kernel: String,
     /// Variant within the family ("full"/"split").
     pub variant: String,
-    /// Execution engine that produced `measured_mlups` (one of
-    /// [`EXEC_MODES`]: "serial", "parallel", "vectorized").
+    /// Execution engine that produced `measured_mlups`
+    /// ([`ExecMode::name`]).
     pub mode: String,
     /// Executor throughput on this host, single core, MLUP/s.
     pub measured_mlups: f64,
@@ -324,10 +327,11 @@ pub fn validate(j: &Json) -> Vec<String> {
                     }
                 }
                 match k.get("mode").and_then(Json::as_str) {
-                    Some(m) if EXEC_MODES.contains(&m) => {}
-                    Some(m) => {
-                        out.push(format!("kernels[{i}].mode '{m}' not one of {EXEC_MODES:?}"))
-                    }
+                    Some(m) if m.parse::<ExecMode>().is_ok() => {}
+                    Some(m) => out.push(format!(
+                        "kernels[{i}].mode '{m}' not one of {:?}",
+                        exec_mode_names()
+                    )),
                     None => out.push(format!("kernels[{i}].mode missing")),
                 }
                 let num = |f: &str| k.get(f).and_then(Json::as_f64);
@@ -440,10 +444,11 @@ pub fn validate(j: &Json) -> Vec<String> {
                             for f in TUNING_KERNEL_STR_FIELDS {
                                 match k.get(f).and_then(Json::as_str) {
                                     Some(v) if !v.is_empty() => {
-                                        if f.ends_with("_mode") && !EXEC_MODES.contains(&v) {
+                                        if f.ends_with("_mode") && v.parse::<ExecMode>().is_err() {
                                             out.push(format!(
                                                 "extra.tuning.kernels[{i}].{f} '{v}' \
-                                                 not one of {EXEC_MODES:?}"
+                                                 not one of {:?}",
+                                                exec_mode_names()
                                             ));
                                         }
                                     }

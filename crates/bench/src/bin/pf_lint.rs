@@ -5,9 +5,10 @@
 //! disjointness — over every generated kernel of P1 and P2, over the
 //! GPU-rescheduled forms of those kernels (rematerialize → min-live
 //! reschedule → fences, the §3.5 chain), and runs the symbolic
-//! communication-protocol verifier over the overlapped distributed
-//! schedule: all 2³ divided-patterns (a proof for *any* rank count) plus
-//! the concrete 2/4/8-rank decompositions CI actually executes.
+//! communication-protocol verifier over the op list the distributed driver
+//! executes, blocking and overlapped: all 2³ divided-patterns (a proof for
+//! *any* rank count) plus the concrete 2/4/8-rank decompositions CI
+//! actually executes.
 //!
 //! Output: rustc-style diagnostics on stderr, a machine-readable
 //! `LINT_report.json` (diagnostics + `analysis` counter block in the same
@@ -134,42 +135,47 @@ fn main() {
             &mut warnings,
         );
 
-        // 3. Symbolic protocol verification of the overlapped distributed
-        //    schedule: every variant combination × every divided-pattern.
-        //    Rank-count independent — this is the proof obligation that
-        //    lets dist.rs demote its runtime frontier check to debug-only.
+        // 3. Symbolic protocol verification of the op list the driver
+        //    executes (`pf_core::step_ops`): {blocking, overlapped} × every
+        //    variant combination × every divided-pattern. Rank-count
+        //    independent. The spatial half of the overlap proof
+        //    (`check_frontier`) is not run here: the driver runs it when it
+        //    builds a run's plan.
         println!("pf-lint: {} — comm protocol (all divided-patterns)", p.name);
-        for (phi_v, mu_v) in [
-            (Variant::Full, Variant::Full),
-            (Variant::Full, Variant::Split),
-            (Variant::Split, Variant::Full),
-            (Variant::Split, Variant::Split),
-        ] {
-            report(
-                &format!("{}/protocol/{:?}-{:?}", p.name, phi_v, mu_v),
-                pf_core::verify_overlap_protocol(&ks, phi_v, mu_v),
-                &mut rows,
-                &mut errors,
-                &mut warnings,
-            );
-        }
+        for (schedule, overlap) in [("blocking", false), ("overlapped", true)] {
+            for (phi_v, mu_v) in [
+                (Variant::Full, Variant::Full),
+                (Variant::Full, Variant::Split),
+                (Variant::Split, Variant::Full),
+                (Variant::Split, Variant::Split),
+            ] {
+                let stage = format!("{}/protocol/{schedule}/{phi_v:?}-{mu_v:?}", p.name);
+                println!("pf-lint: {stage}");
+                report(
+                    &stage,
+                    pf_core::verify_step_protocol(&ks, phi_v, mu_v, overlap),
+                    &mut rows,
+                    &mut errors,
+                    &mut warnings,
+                );
+            }
 
-        // 4. The concrete decompositions CI executes: 2, 4 and 8 ranks.
-        //    Subsumed by the pattern sweep above, but checking the exact
-        //    `dim_classes` the runtime derives pins the model-to-runtime
-        //    mapping itself.
-        for ranks in [2usize, 4, 8] {
-            let dec = Decomposition::new([16, 16, 16], ranks, [true; 3]);
-            let classes = pf_core::dim_classes(&dec);
-            let model =
-                pf_core::overlap_protocol_model(&ks, Variant::Full, Variant::Split, classes);
-            report(
-                &format!("{}/protocol/{}ranks", p.name, ranks),
-                pf_analyze::check_protocol(&model),
-                &mut rows,
-                &mut errors,
-                &mut warnings,
-            );
+            // 4. The concrete decompositions CI executes: 2, 4 and 8 ranks.
+            //    Subsumed by the pattern sweep above, but checking the exact
+            //    `dim_classes` the runtime derives pins the model-to-runtime
+            //    mapping itself.
+            let ops = pf_core::step_ops(&ks.fields, Variant::Full, Variant::Split, overlap);
+            for ranks in [2usize, 4, 8] {
+                let dec = Decomposition::new([16, 16, 16], ranks, [true; 3]);
+                let model = pf_core::step_protocol_model(&ks, &ops, pf_core::dim_classes(&dec));
+                report(
+                    &format!("{}/protocol/{schedule}/{ranks}ranks", p.name),
+                    pf_analyze::check_protocol(&model),
+                    &mut rows,
+                    &mut errors,
+                    &mut warnings,
+                );
+            }
         }
     }
 

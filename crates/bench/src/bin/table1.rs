@@ -55,10 +55,10 @@ fn main() {
                 p.name,
                 r.family.name(),
                 pf_core::variant_name(r.entry.variant),
-                pf_core::mode_name(r.entry.mode),
+                r.entry.mode.name(),
                 r.chosen_mlups,
                 pf_core::variant_name(r.static_variant),
-                pf_core::mode_name(r.static_mode),
+                r.static_mode.name(),
                 r.static_mlups,
                 r.regret_chosen * 100.0,
                 r.regret_static * 100.0,

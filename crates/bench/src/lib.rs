@@ -61,33 +61,19 @@ pub fn kernels_for(p: &ModelParams) -> KernelSet {
     ks
 }
 
-/// Name of an execution mode as it appears in bench artifacts
-/// (`KernelPerf::mode`).
-pub fn mode_name(mode: ExecMode) -> &'static str {
-    match mode {
-        ExecMode::Serial => "serial",
-        ExecMode::Parallel => "parallel",
-        ExecMode::Vectorized => "vectorized",
-        ExecMode::Native => "native",
-    }
-}
-
 /// Execution engines `standard_kernel_perf` measures. Default: serial,
 /// strip-mined vectorized, and — when the sandbox can compile and load
 /// cdylibs — the native codegen backend, so every artifact carries the
 /// measured/predicted ratio for generated machine code next to the
 /// interpreters. `PF_BENCH_EXEC` narrows to a single engine (`serial` |
-/// `parallel` | `vectorized` | `native`) — scripts/ci.sh uses `vectorized`
-/// for the dedicated smoke rerun.
+/// `vectorized` | `native`, [`ExecMode::name`]) — scripts/ci.sh uses
+/// `vectorized` for the dedicated smoke rerun.
 pub fn bench_exec_modes() -> Vec<ExecMode> {
-    match std::env::var("PF_BENCH_EXEC").as_deref() {
-        Ok("serial") => vec![ExecMode::Serial],
-        Ok("parallel") => vec![ExecMode::Parallel],
-        Ok("vectorized") => vec![ExecMode::Vectorized],
-        Ok("native") => vec![ExecMode::Native],
-        Ok(other) => {
-            panic!("PF_BENCH_EXEC must be serial|parallel|vectorized|native, got '{other}'")
-        }
+    match std::env::var("PF_BENCH_EXEC") {
+        Ok(v) => match v.parse() {
+            Ok(mode) => vec![mode],
+            Err(()) => panic!("PF_BENCH_EXEC must be serial|vectorized|native, got '{v}'"),
+        },
         Err(_) => {
             let mut modes = vec![ExecMode::Serial, ExecMode::Vectorized];
             if pf_backend::native_available() {
@@ -262,7 +248,7 @@ pub fn standard_kernel_perf(p: &ModelParams, ks: &KernelSet) -> Vec<KernelPerf> 
                 params: p.name.clone(),
                 kernel: kernel.into(),
                 variant: variant.into(),
-                mode: mode_name(mode).into(),
+                mode: mode.name().into(),
                 measured_mlups: measured,
                 predicted_mlups: pred.single_core_mlups(sock.freq_ghz),
                 ecm: [
@@ -387,18 +373,12 @@ pub fn tuning_extra(per_params: &[(String, Vec<pf_core::FamilyTuneReport>)]) -> 
                         "chosen_variant".to_string(),
                         Json::str(pf_core::variant_name(r.entry.variant)),
                     ),
-                    (
-                        "chosen_mode".to_string(),
-                        Json::str(mode_name(r.entry.mode)),
-                    ),
+                    ("chosen_mode".to_string(), Json::str(r.entry.mode.name())),
                     (
                         "static_variant".to_string(),
                         Json::str(pf_core::variant_name(r.static_variant)),
                     ),
-                    (
-                        "static_mode".to_string(),
-                        Json::str(mode_name(r.static_mode)),
-                    ),
+                    ("static_mode".to_string(), Json::str(r.static_mode.name())),
                     ("candidates".to_string(), Json::Num(r.candidates as f64)),
                     ("measured".to_string(), Json::Num(r.measured as f64)),
                     ("best_mlups".to_string(), Json::Num(r.best_mlups)),

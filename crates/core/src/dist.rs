@@ -12,9 +12,10 @@ use crate::checkpoint::{self, RankMeta};
 use crate::kernels::KernelSet;
 use crate::params::ModelParams;
 use crate::sim::{BcKind, SimConfig, Simulation, Variant};
+use crate::tune::Family;
 use pf_grid::{
-    begin_exchange, exchange_halo, finish_exchange, run_ranks_with_faults, split_frontier,
-    with_silenced_dead_rank_panics, Comm, CommOptions, Decomposition, FaultPlan, HaloHandle,
+    begin_exchange_batched, finish_exchange_batched, run_ranks_with_faults, split_frontier,
+    with_silenced_dead_rank_panics, BatchHandle, Comm, CommOptions, Decomposition, FaultPlan,
     DEAD_RANK_MARKER,
 };
 use pf_ir::Tape;
@@ -165,77 +166,96 @@ impl DistConfig {
     }
 }
 
-/// Frontier deferral widths of one kernel phase of Algorithm 1: how many
-/// cells from each block face must wait for the halo receives. Derived
-/// from the pf-analyze load envelopes, maximized over the phase's tapes
-/// (exact for a full kernel; for a split kernel the group maximum also
-/// guarantees the flux interior produces every staggered value the update
-/// interior re-reads, since the update's widths dominate the fluxes').
-#[derive(Clone, Copy, Debug)]
-struct PhaseWidths {
-    lo: [usize; 3],
-    hi: [usize; 3],
+/// Which part of a phase's iteration range a sweep covers: the interior
+/// reads no ghost layer a pending exchange still has to fill, the frontier
+/// is the rest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Part {
+    Interior,
+    Frontier,
 }
 
-/// Interior/frontier split of the overlapped schedule, built once per run
-/// and proved sound by [`pf_analyze::check_frontier`]: no interior cell of
-/// any tape reads a ghost layer, so the interior sweeps can run while the
-/// halo messages are still in flight.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct OverlapPlan {
-    phi: PhaseWidths,
-    mu: PhaseWidths,
+/// One operation of the distributed timestep. The list [`step_ops`] builds
+/// is the single description of Algorithm 1 on a decomposed domain: the
+/// rank loop interprets it, [`step_protocol_model`] lifts the very same
+/// list into the model pf-analyze proves, and the frontier widths are
+/// derived for exactly the sweeps it names.
+#[derive(Clone, Debug, PartialEq)]
+pub enum StepOp {
+    /// Apply the physical boundaries of `fields`, complete their locally
+    /// wrapped dimensions and post their halo sends. `epoch` is relative
+    /// to the step's base epoch; field `i` owns offset `epoch + i`, which
+    /// is where it is sent when batching is off.
+    BeginExchange { fields: Vec<Field>, epoch: u64 },
+    /// Complete the receives of every exchange begun and not yet finished.
+    FinishExchange,
+    /// Run the phase's tapes (fluxes before the update) over one part of
+    /// their iteration range.
+    Sweep {
+        phase: Family,
+        variant: Variant,
+        part: Part,
+    },
+    /// Gibbs-simplex projection of φ_dst.
+    Project,
+    /// φ_src ↔ φ_dst, µ_src ↔ µ_dst.
+    Swap,
 }
 
-fn phase_widths(p: &ModelParams, ks: &KernelSet, tapes: &[&Tape]) -> PhaseWidths {
-    let mut lo = [0usize; 3];
-    let mut hi = [0usize; 3];
-    for tape in tapes {
-        let allocs = crate::kernels::alloc_table(p, ks, tape);
-        let (tl, th) = pf_analyze::frontier_widths(tape, &allocs);
-        for d in 0..3 {
-            lo[d] = lo[d].max(tl[d]);
-            hi[d] = hi[d].max(th[d]);
+/// Epochs one step consumes: step `n` stamps its messages `4 n + offset`.
+const EPOCH_STRIDE: u64 = 4;
+
+/// The op list of one distributed timestep (§4.3). With `overlap` each
+/// phase's interior is swept between the begin and the finish of the
+/// exchange it depends on, so the messages travel behind it:
+///
+/// ```text
+/// begin φ_src, µ_src → φ interior → finish → φ frontier → project
+/// begin φ_dst        → µ interior → finish → µ frontier → swap
+/// ```
+///
+/// Without it the window between begin and finish is empty and the whole
+/// range of each phase is its frontier — same list, two sweeps fewer.
+pub fn step_ops(
+    f: &crate::model::ModelFields,
+    phi_variant: Variant,
+    mu_variant: Variant,
+    overlap: bool,
+) -> Vec<StepOp> {
+    let phase_ops = |fields: Vec<Field>, epoch: u64, phase: Family, variant: Variant| {
+        let sweep = |part: Part| StepOp::Sweep {
+            phase,
+            variant,
+            part,
+        };
+        let mut ops = vec![StepOp::BeginExchange { fields, epoch }];
+        if overlap {
+            ops.push(sweep(Part::Interior));
         }
-    }
-    // Soundness re-check of the widths just derived. This is proven
-    // statically ahead of time — pf-lint and the kernel-set verification
-    // run `check_frontier` (and the symbolic protocol model) over every
-    // configuration — so at runtime it is redundant and kept only as a
-    // debug assertion guarding future refactors of the width derivation.
-    if cfg!(debug_assertions) {
-        for tape in tapes {
-            let allocs = crate::kernels::alloc_table(p, ks, tape);
-            let diags = pf_analyze::check_frontier(tape, &allocs, lo, hi);
-            assert!(
-                diags.is_empty(),
-                "overlap plan unsound for kernel '{}': {}",
-                tape.name,
-                diags
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            );
-        }
-    }
-    PhaseWidths { lo, hi }
+        ops.extend([StepOp::FinishExchange, sweep(Part::Frontier)]);
+        ops
+    };
+    let mut ops = phase_ops(vec![f.phi_src, f.mu_src], 0, Family::Phi, phi_variant);
+    ops.push(StepOp::Project);
+    ops.extend(phase_ops(vec![f.phi_dst], 2, Family::Mu, mu_variant));
+    ops.push(StepOp::Swap);
+    ops
 }
 
-fn split_refs(s: &crate::kernels::SplitTapes) -> Vec<&Tape> {
-    s.flux_tapes
-        .iter()
-        .chain(std::iter::once(&s.update))
-        .collect()
-}
-
-/// The phase's tapes by variant, borrowed from the kernel set.
-fn variant_tapes(ks: &KernelSet, variant: Variant, phi: bool) -> Vec<&Tape> {
-    match (variant, phi) {
-        (Variant::Full, true) => vec![&ks.phi_full],
-        (Variant::Full, false) => vec![&ks.mu_full],
-        (Variant::Split, true) => split_refs(&ks.phi_split),
-        (Variant::Split, false) => split_refs(&ks.mu_split),
+/// The phase's kernel tapes in execution order (fluxes before the update),
+/// borrowed from the kernel set.
+fn variant_tapes(ks: &KernelSet, variant: Variant, phase: Family) -> Vec<&Tape> {
+    let (full, split) = match phase {
+        Family::Phi => (&ks.phi_full, &ks.phi_split),
+        Family::Mu => (&ks.mu_full, &ks.mu_split),
+    };
+    match variant {
+        Variant::Full => vec![full],
+        Variant::Split => split
+            .flux_tapes
+            .iter()
+            .chain(std::iter::once(&split.update))
+            .collect(),
     }
 }
 
@@ -267,68 +287,76 @@ fn phase_comm_footprint(ks: &KernelSet, tapes: &[&Tape]) -> (Vec<String>, Vec<St
     )
 }
 
-/// Lift [`dist_step_overlapped`]'s schedule into pf-analyze's symbolic
-/// protocol model for one divided-pattern. The event list mirrors the
-/// runtime schedule line by line — same exchange order, same epoch
-/// offsets, same field tags — with the sweeps' communication footprints
-/// derived from the real tapes' load/store envelopes. `check_protocol`
-/// over this model proves send/recv pairing, epoch/tag discipline,
-/// deadlock-freedom and stale-ghost-freedom for *any* rank count with the
-/// given pattern of divided dimensions (see pf-analyze's protocol docs for
-/// why the pattern, not the rank count, is the protocol's only degree of
-/// freedom).
-pub fn overlap_protocol_model(
+/// Lift an op list into pf-analyze's symbolic protocol model for one
+/// divided-pattern — the only place that constructs `ProtoEvent`s. Each
+/// field of a begin becomes its own exchange at its own epoch offset (the
+/// unbatched wire protocol; batching merges the begins of one op into one
+/// message at the first offset, which cannot break what holds for the
+/// finer one), a finish completes every exchange in flight, and the
+/// sweeps' communication footprints come from the real tapes' load/store
+/// envelopes. `check_protocol` over the model proves send/recv pairing,
+/// epoch discipline, deadlock-freedom and stale-ghost-freedom for *any*
+/// rank count with the given pattern of divided dimensions (see
+/// pf-analyze's protocol docs for why the pattern, not the rank count, is
+/// the protocol's only degree of freedom).
+pub fn step_protocol_model(
     ks: &KernelSet,
-    phi_variant: Variant,
-    mu_variant: Variant,
+    ops: &[StepOp],
     dims: [pf_analyze::DimClass; 3],
 ) -> pf_analyze::ProtocolModel {
     use pf_analyze::ProtoEvent as E;
-    let f = ks.fields;
-    let (phi_reads, phi_writes) = phase_comm_footprint(ks, &variant_tapes(ks, phi_variant, true));
-    let (mu_reads, mu_writes) = phase_comm_footprint(ks, &variant_tapes(ks, mu_variant, false));
-    let begin = |field: pf_symbolic::Field, tag: u16, epoch: u64| E::Begin {
-        field: field.name(),
-        field_tag: tag,
-        epoch,
-    };
-    let finish = |field: pf_symbolic::Field| E::Finish {
-        field: field.name(),
-    };
+    let mut events = Vec::new();
+    let mut in_flight: Vec<Field> = Vec::new();
+    for op in ops {
+        match op {
+            StepOp::BeginExchange { fields, epoch } => {
+                for (i, field) in fields.iter().enumerate() {
+                    events.push(E::Begin {
+                        field: field.name(),
+                        // The wire tag's field part is one constant
+                        // (pf-grid sends batches), so two exchanges must
+                        // differ in their epochs.
+                        field_tag: 0,
+                        epoch: epoch + i as u64,
+                    });
+                }
+                in_flight.extend(fields);
+            }
+            StepOp::FinishExchange => {
+                events.extend(in_flight.drain(..).map(|f| E::Finish { field: f.name() }));
+            }
+            StepOp::Sweep {
+                phase,
+                variant,
+                part,
+            } => {
+                let (ghost_reads, writes) =
+                    phase_comm_footprint(ks, &variant_tapes(ks, *variant, *phase));
+                events.push(match part {
+                    Part::Interior => E::Interior { writes },
+                    Part::Frontier => E::Frontier {
+                        ghost_reads,
+                        writes,
+                    },
+                });
+            }
+            StepOp::Project => events.push(E::Write {
+                field: ks.fields.phi_dst.name(),
+            }),
+            // Renames the generations for the next step; no ghost is
+            // read after it within this one.
+            StepOp::Swap => {}
+        }
+    }
     let divided: Vec<String> = (0..3)
         .filter(|&d| dims[d].divided)
         .map(|d| d.to_string())
         .collect();
     pf_analyze::ProtocolModel {
-        name: format!("dist_step_overlapped[div={}]", divided.join("")),
+        name: format!("dist_step[div={}]", divided.join("")),
         dims,
-        // dist_step_overlapped consumes epochs step*4 .. step*4+2.
-        epoch_stride: 4,
-        events: vec![
-            begin(f.phi_src, 0, 0),
-            begin(f.mu_src, 1, 1),
-            E::Interior {
-                writes: phi_writes.clone(),
-            },
-            finish(f.phi_src),
-            finish(f.mu_src),
-            E::Frontier {
-                ghost_reads: phi_reads,
-                writes: phi_writes,
-            },
-            E::Write {
-                field: f.phi_dst.name(),
-            },
-            begin(f.phi_dst, 2, 2),
-            E::Interior {
-                writes: mu_writes.clone(),
-            },
-            finish(f.phi_dst),
-            E::Frontier {
-                ghost_reads: mu_reads,
-                writes: mu_writes,
-            },
-        ],
+        epoch_stride: EPOCH_STRIDE,
+        events,
     }
 }
 
@@ -343,108 +371,140 @@ pub fn dim_classes(dec: &Decomposition) -> [pf_analyze::DimClass; 3] {
     })
 }
 
-/// Verify the overlapped schedule's comm protocol under **all** 2³
-/// divided-patterns — a proof for every rank count and decomposition at
-/// once. Returns every diagnostic found (empty = proven sound).
-pub fn verify_overlap_protocol(
+/// Verify the comm protocol of the step the driver runs for these options
+/// under **all** 2³ divided-patterns — a proof for every rank count and
+/// decomposition at once. Returns every diagnostic found (empty = proven
+/// sound).
+pub fn verify_step_protocol(
     ks: &KernelSet,
     phi_variant: Variant,
     mu_variant: Variant,
+    overlap: bool,
 ) -> Vec<pf_analyze::Diagnostic> {
+    let ops = step_ops(&ks.fields, phi_variant, mu_variant, overlap);
     pf_analyze::all_dim_patterns()
         .into_iter()
-        .flat_map(|dims| {
-            pf_analyze::check_protocol(&overlap_protocol_model(ks, phi_variant, mu_variant, dims))
-        })
+        .flat_map(|dims| pf_analyze::check_protocol(&step_protocol_model(ks, &ops, dims)))
         .collect()
 }
 
-pub(crate) fn build_overlap_plan(
+/// Frontier deferral widths of one kernel phase: how many cells from each
+/// block face must wait for the halo receives.
+#[derive(Clone, Copy, Debug)]
+struct PhaseWidths {
+    lo: [usize; 3],
+    hi: [usize; 3],
+}
+
+impl PhaseWidths {
+    /// Nothing runs before the receives: `split_frontier` turns this into
+    /// an empty interior and one shell covering the whole range.
+    const EVERYTHING: PhaseWidths = PhaseWidths {
+        lo: [usize::MAX, 0, 0],
+        hi: [0; 3],
+    };
+}
+
+/// Widths derived from the pf-analyze load envelopes, maximized over the
+/// phase's tapes (exact for a full kernel; for a split kernel the group
+/// maximum also guarantees the flux interior produces every staggered
+/// value the update interior re-reads, since the update's widths dominate
+/// the fluxes').
+fn phase_widths(p: &ModelParams, ks: &KernelSet, tapes: &[&Tape]) -> PhaseWidths {
+    let mut w = PhaseWidths {
+        lo: [0; 3],
+        hi: [0; 3],
+    };
+    for tape in tapes {
+        let allocs = crate::kernels::alloc_table(p, ks, tape);
+        let (tl, th) = pf_analyze::frontier_widths(tape, &allocs);
+        for d in 0..3 {
+            w.lo[d] = w.lo[d].max(tl[d]);
+            w.hi[d] = w.hi[d].max(th[d]);
+        }
+    }
+    w
+}
+
+/// The spatial half of the overlap proof (the protocol model is the
+/// temporal half): no interior cell of any tape may load a ghost layer.
+/// This call is the only place `check_frontier` runs outside tests, so it
+/// runs in every build, once per tape per plan.
+fn assert_frontier_sound(p: &ModelParams, ks: &KernelSet, tapes: &[&Tape], w: PhaseWidths) {
+    for tape in tapes {
+        let allocs = crate::kernels::alloc_table(p, ks, tape);
+        let diags = pf_analyze::check_frontier(tape, &allocs, w.lo, w.hi);
+        assert!(
+            diags.is_empty(),
+            "overlap plan unsound for kernel '{}':\n{}",
+            tape.name,
+            pf_analyze::render(&diags)
+        );
+    }
+}
+
+/// What the rank loop runs each step: the op list and the interior /
+/// frontier split of its sweeps. Built, and proved sound, once per run.
+#[derive(Clone, Debug)]
+pub(crate) struct StepPlan {
+    ops: Vec<StepOp>,
+    phi: PhaseWidths,
+    mu: PhaseWidths,
+}
+
+pub(crate) fn build_step_plan(
     p: &ModelParams,
     ks: &KernelSet,
     cfg: &DistConfig,
     dec: &Decomposition,
-) -> OverlapPlan {
-    // Always-on symbolic gate (cheap: a few dozen events, no tapes): the
-    // schedule the plan will drive must be protocol-sound for this
-    // decomposition's divided-pattern. The heavyweight spatial re-check
-    // below is debug-only; this one is the release-build tripwire.
-    let proto = pf_analyze::check_protocol(&overlap_protocol_model(
-        ks,
+) -> StepPlan {
+    let ops = step_ops(
+        &ks.fields,
         cfg.phi_variant,
         cfg.mu_variant,
-        dim_classes(dec),
-    ));
-    let proto_errors: Vec<_> = proto.iter().filter(|d| d.is_error()).collect();
-    assert!(
-        proto_errors.is_empty(),
-        "overlapped schedule fails protocol verification: {}",
-        proto_errors
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("; ")
+        cfg.comm.overlap,
     );
-    let phi_tapes: Vec<&Tape> = variant_tapes(ks, cfg.phi_variant, true);
-    let mu_tapes: Vec<&Tape> = variant_tapes(ks, cfg.mu_variant, false);
-    // Ghost layers along dimensions the exchange completes inside `begin`
-    // (leading undivided dimensions — local wraps, no messages) are as
-    // fresh as owned data when the interior sweeps run, so no frontier
-    // shell needs to guard them. `phase_widths` verified the full load
-    // envelopes above; the mask only drops deferral where nothing defers.
+    // The list about to be executed must be protocol-sound for this
+    // decomposition's divided-pattern (cheap: a dozen events, no tapes).
+    let mut proto = pf_analyze::check_protocol(&step_protocol_model(ks, &ops, dim_classes(dec)));
+    proto.retain(|d| d.is_error());
+    assert!(
+        proto.is_empty(),
+        "step schedule fails protocol verification:\n{}",
+        pf_analyze::render(&proto)
+    );
+    // A phase with no interior sweep defers everything. One with an
+    // interior sweep defers what its tapes' loads reach — except along
+    // dimensions the exchange completes inside `begin` (leading undivided
+    // ones: local wraps, no messages), whose ghosts are as fresh as owned
+    // data when the interior runs. The soundness check sees the unmasked
+    // widths; the mask only drops deferral where nothing defers.
     let k = pf_grid::first_deferred_dim(dec);
-    let mask = |mut w: PhaseWidths| {
+    let widths = |phase: Family| {
+        let interior = ops.iter().find_map(|op| match op {
+            StepOp::Sweep {
+                phase: ph,
+                variant,
+                part: Part::Interior,
+            } if *ph == phase => Some(*variant),
+            _ => None,
+        });
+        let Some(variant) = interior else {
+            return PhaseWidths::EVERYTHING;
+        };
+        let tapes = variant_tapes(ks, variant, phase);
+        let mut w = phase_widths(p, ks, &tapes);
+        assert_frontier_sound(p, ks, &tapes, w);
         for d in 0..k {
             w.lo[d] = 0;
             w.hi[d] = 0;
         }
         w
     };
-    OverlapPlan {
-        phi: mask(phase_widths(p, ks, &phi_tapes)),
-        mu: mask(phase_widths(p, ks, &mu_tapes)),
-    }
-}
-
-/// Sweep every tape of a phase over its interior region (halo messages may
-/// still be in flight — the plan proves no ghost layer is read here).
-fn run_phase_interiors(sim: &mut Simulation, tapes: &[Tape], w: PhaseWidths, rank: usize) {
-    for tape in tapes {
-        let ext = pf_backend::extended_range(tape, sim.cfg.shape);
-        let (interior, _) = split_frontier(ext, w.lo, w.hi);
-        pf_trace::counter_at("exec.interior_cells", rank).incr(interior.cells() as u64);
-        sim.run_region(tape, interior);
-    }
-}
-
-/// Sweep every tape of a phase over its frontier shells (receives have
-/// completed; the ghost layers are fresh).
-fn run_phase_frontiers(sim: &mut Simulation, tapes: &[Tape], w: PhaseWidths, rank: usize) {
-    for tape in tapes {
-        let ext = pf_backend::extended_range(tape, sim.cfg.shape);
-        let (_, shells) = split_frontier(ext, w.lo, w.hi);
-        for shell in shells {
-            pf_trace::counter_at("exec.frontier_cells", rank).incr(shell.cells() as u64);
-            sim.run_region(tape, shell);
-        }
-    }
-}
-
-/// The phase's kernel tapes in execution order (fluxes before the update).
-fn phase_tapes(sim: &Simulation, variant: Variant, phi: bool) -> Vec<Tape> {
-    match (variant, phi) {
-        (Variant::Full, true) => vec![sim.kernels.phi_full.clone()],
-        (Variant::Full, false) => vec![sim.kernels.mu_full.clone()],
-        (Variant::Split, phi) => {
-            let split = if phi {
-                &sim.kernels.phi_split
-            } else {
-                &sim.kernels.mu_split
-            };
-            let mut tapes = split.flux_tapes.clone();
-            tapes.push(split.update.clone());
-            tapes
-        }
+    StepPlan {
+        phi: widths(Family::Phi),
+        mu: widths(Family::Mu),
+        ops,
     }
 }
 
@@ -469,220 +529,120 @@ fn apply_neumann_edges(
     }
 }
 
-/// One field's sync parameters: field, tag, and the epoch the *unbatched*
-/// protocol stamps its messages with (the batched transport uses the
-/// batch's base epoch instead — tags only need to be unique and agreed).
-type SyncSpec = (Field, u32, u64);
-
-/// Run `f` with every spec'd field taken out of the store (split borrow
-/// for the batched multi-field exchange), re-inserting them afterwards.
-fn with_taken_fields(
+/// Run `f` with the fields taken out of the store (split borrow for the
+/// multi-field exchange), re-inserting them afterwards.
+fn with_taken_fields<R>(
     sim: &mut Simulation,
-    specs: &[SyncSpec],
-    f: impl FnOnce(&mut [&mut pf_fields::FieldArray]),
-) {
-    let mut arrs: Vec<pf_fields::FieldArray> = specs
-        .iter()
-        .map(|(field, _, _)| sim.store.take(*field))
-        .collect();
-    {
+    fields: &[Field],
+    f: impl FnOnce(&mut [&mut pf_fields::FieldArray]) -> R,
+) -> R {
+    let mut arrs: Vec<pf_fields::FieldArray> =
+        fields.iter().map(|field| sim.store.take(*field)).collect();
+    let r = {
         let mut refs: Vec<&mut pf_fields::FieldArray> = arrs.iter_mut().collect();
-        f(&mut refs);
-    }
-    for ((field, _, _), arr) in specs.iter().zip(arrs) {
+        f(&mut refs)
+    };
+    for (field, arr) in fields.iter().zip(arrs) {
         sim.store.insert(*field, arr);
     }
+    r
 }
 
-/// Synchronize several fields at one schedule point. With `comm.batch`
-/// (the default) the fields' face messages coalesce into one packed
-/// message per (neighbour, epoch) — same per-field pack/unpack sequence,
-/// so ghosts are bitwise identical to the unbatched path, which remains
-/// available (`batch: false`) and sends each field at its own tag/epoch.
-fn sync_fields(
-    sim: &mut Simulation,
-    comm: &mut Comm,
-    dec: &Decomposition,
-    specs: &[SyncSpec],
-    batch_epoch: u64,
-    cfg: &DistConfig,
-) {
-    for (field, _, _) in specs {
-        apply_neumann_edges(sim, comm, dec, *field, cfg);
-    }
-    if cfg.comm.batch {
-        with_taken_fields(sim, specs, |arrs| {
-            pf_grid::exchange_halo_batched(comm, dec, arrs, batch_epoch, cfg.comm);
-        });
-    } else {
-        for (field, tag, epoch) in specs {
-            let arr = sim.store.get_mut(*field);
-            exchange_halo(comm, dec, arr, *tag, *epoch, cfg.comm);
-        }
-    }
-}
-
-/// In-flight multi-field sync, batched or per-field.
-enum SyncHandle {
-    Batched(pf_grid::BatchHandle),
-    PerField(Vec<HaloHandle>),
-}
-
-/// Start synchronizing several fields: apply physical boundaries, then
-/// post the halo sends without waiting for the receives — one coalesced
-/// message per neighbour when batching, one per field otherwise.
-fn begin_sync_fields(
-    sim: &mut Simulation,
-    comm: &mut Comm,
-    dec: &Decomposition,
-    specs: &[SyncSpec],
-    batch_epoch: u64,
-    cfg: &DistConfig,
-) -> SyncHandle {
-    for (field, _, _) in specs {
-        apply_neumann_edges(sim, comm, dec, *field, cfg);
-    }
-    if cfg.comm.batch {
-        let mut handle = None;
-        with_taken_fields(sim, specs, |arrs| {
-            handle = Some(pf_grid::begin_exchange_batched(
-                comm,
-                dec,
-                arrs,
-                batch_epoch,
-                cfg.comm,
-            ));
-        });
-        SyncHandle::Batched(handle.expect("begin ran"))
-    } else {
-        SyncHandle::PerField(
-            specs
-                .iter()
-                .map(|(field, tag, epoch)| {
-                    let arr = sim.store.get_mut(*field);
-                    begin_exchange(comm, dec, arr, *tag, *epoch, cfg.comm)
-                })
-                .collect(),
-        )
-    }
-}
-
-fn finish_sync_fields(
-    sim: &mut Simulation,
-    comm: &mut Comm,
-    dec: &Decomposition,
-    specs: &[SyncSpec],
-    handle: SyncHandle,
-    cfg: &DistConfig,
-) {
-    match handle {
-        SyncHandle::Batched(h) => with_taken_fields(sim, specs, |arrs| {
-            pf_grid::finish_exchange_batched(comm, dec, arrs, h, cfg.comm);
-        }),
-        SyncHandle::PerField(handles) => {
-            for ((field, _, _), h) in specs.iter().zip(handles) {
-                let arr = sim.store.get_mut(*field);
-                finish_exchange(comm, dec, arr, h, cfg.comm);
-            }
-        }
-    }
-}
-
-/// One distributed timestep of Algorithm 1 with communication/computation
-/// overlap (§4.3, the Table 2 "overlap" option — here it genuinely changes
-/// the schedule, not just the priced metadata):
+/// One distributed timestep of Algorithm 1: interpret the plan's op list
+/// on this rank. The tapes are borrowed from the run's kernel set.
 ///
-/// ```text
-/// post φ_src and µ_src halo sends
-/// φ interior sweep                    ← halos in flight
-/// complete φ_src/µ_src receives
-/// φ frontier sweep, simplex projection
-/// post φ_dst halo sends
-/// µ interior sweep                    ← halos in flight
-/// complete φ_dst receives
-/// µ frontier sweep, swap
-/// ```
-///
-/// Bitwise identical to [`dist_step`]: the ghost layers end up exactly as
-/// the blocking exchange leaves them, region launches key every cell on
-/// its absolute index, and the plan proves no interior cell reads a ghost.
-pub(crate) fn dist_step_overlapped(
+/// Every schedule the list can express leaves the same bits: the ghost
+/// layers do not depend on how much ran between a begin and its finish,
+/// region launches key every cell on its absolute index, and the plan
+/// proved that no interior cell reads a ghost.
+pub(crate) fn dist_step(
     sim: &mut Simulation,
     comm: &mut Comm,
     dec: &Decomposition,
     cfg: &DistConfig,
-    plan: &OverlapPlan,
+    kernels: &KernelSet,
+    plan: &StepPlan,
 ) {
     let rank = comm.rank();
     let _span = pf_trace::span_at("dist.step", rank);
-    let f = sim.kernels.fields;
-    let epoch = sim.step_count * 4;
-
-    // φ_src and µ_src begin back-to-back with nothing between them, so
-    // batching folds their face messages into one per (neighbour, epoch).
-    let src_specs = [(f.phi_src, 0u32, epoch), (f.mu_src, 1u32, epoch + 1)];
-    let h_src = begin_sync_fields(sim, comm, dec, &src_specs, epoch, cfg);
-    let phi_tapes = phase_tapes(sim, cfg.phi_variant, true);
-    let t0 = std::time::Instant::now();
-    run_phase_interiors(sim, &phi_tapes, plan.phi, rank);
-    pf_trace::counter_at("comm.overlap_window_ns", rank).incr(t0.elapsed().as_nanos() as u64);
-    finish_sync_fields(sim, comm, dec, &src_specs, h_src, cfg);
-    run_phase_frontiers(sim, &phi_tapes, plan.phi, rank);
-
-    sim.project_simplex(f.phi_dst);
-    let dst_specs = [(f.phi_dst, 2u32, epoch + 2)];
-    let h_dst = begin_sync_fields(sim, comm, dec, &dst_specs, epoch + 2, cfg);
-    let mu_tapes = phase_tapes(sim, cfg.mu_variant, false);
-    let t0 = std::time::Instant::now();
-    run_phase_interiors(sim, &mu_tapes, plan.mu, rank);
-    pf_trace::counter_at("comm.overlap_window_ns", rank).incr(t0.elapsed().as_nanos() as u64);
-    finish_sync_fields(sim, comm, dec, &dst_specs, h_dst, cfg);
-    run_phase_frontiers(sim, &mu_tapes, plan.mu, rank);
-
-    sim.store.swap(f.phi_src, f.phi_dst);
-    sim.store.swap(f.mu_src, f.mu_dst);
-    sim.step_count += 1;
-}
-
-/// One distributed timestep of Algorithm 1.
-pub fn dist_step(sim: &mut Simulation, comm: &mut Comm, dec: &Decomposition, cfg: &DistConfig) {
-    let _span = pf_trace::span_at("dist.step", comm.rank());
-    let f = sim.kernels.fields;
-    let epoch = sim.step_count * 4;
-    sync_fields(
-        sim,
-        comm,
-        dec,
-        &[(f.phi_src, 0u32, epoch), (f.mu_src, 1u32, epoch + 1)],
-        epoch,
-        cfg,
-    );
-
-    let phi_full = sim.kernels.phi_full.clone();
-    let phi_split = sim.kernels.phi_split.clone();
-    match cfg.phi_variant {
-        Variant::Full => sim.run(&phi_full),
-        Variant::Split => sim.run_split(&phi_split),
+    let base = sim.step_count * EPOCH_STRIDE;
+    let mut in_flight: Vec<(&[Field], BatchHandle)> = Vec::new();
+    for op in &plan.ops {
+        match op {
+            StepOp::BeginExchange { fields, epoch } => {
+                for field in fields {
+                    apply_neumann_edges(sim, comm, dec, *field, cfg);
+                }
+                // With `comm.batch` (the default) the fields' faces travel
+                // as one packed message per neighbour at the op's epoch;
+                // without, as batches of one at consecutive epochs. Same
+                // per-field pack/unpack sequence, so the same ghosts.
+                let per_message = if cfg.comm.batch { fields.len() } else { 1 };
+                for (i, group) in fields.chunks(per_message).enumerate() {
+                    let epoch = base + epoch + i as u64;
+                    let handle = with_taken_fields(sim, group, |arrs| {
+                        begin_exchange_batched(comm, dec, arrs, epoch)
+                    });
+                    in_flight.push((group, handle));
+                }
+            }
+            StepOp::FinishExchange => {
+                for (group, handle) in in_flight.drain(..) {
+                    with_taken_fields(sim, group, |arrs| {
+                        finish_exchange_batched(comm, dec, arrs, handle)
+                    });
+                }
+            }
+            StepOp::Sweep {
+                phase,
+                variant,
+                part,
+            } => {
+                let w = match phase {
+                    Family::Phi => plan.phi,
+                    Family::Mu => plan.mu,
+                };
+                let cells = pf_trace::counter_at(
+                    match part {
+                        Part::Interior => "exec.interior_cells",
+                        Part::Frontier => "exec.frontier_cells",
+                    },
+                    rank,
+                );
+                let t0 = std::time::Instant::now();
+                for tape in variant_tapes(kernels, *variant, *phase) {
+                    let ext = pf_backend::extended_range(tape, sim.cfg.shape);
+                    let (interior, shells) = split_frontier(ext, w.lo, w.hi);
+                    let regions = match part {
+                        Part::Interior => vec![interior],
+                        Part::Frontier => shells,
+                    };
+                    for region in regions {
+                        cells.incr(region.cells() as u64);
+                        sim.run_region(tape, region);
+                    }
+                }
+                // Halo messages were in flight for as long as this took.
+                if *part == Part::Interior {
+                    pf_trace::counter_at("comm.overlap_window_ns", rank)
+                        .incr(t0.elapsed().as_nanos() as u64);
+                }
+            }
+            // Exchanges and sweeps open their spans where the work happens
+            // (`grid.halo_*`, `exec.kernel.*`); these two have no callee
+            // that would.
+            StepOp::Project => {
+                let _span = pf_trace::span_at("dist.project", rank);
+                sim.project_simplex(kernels.fields.phi_dst);
+            }
+            StepOp::Swap => {
+                let _span = pf_trace::span_at("dist.swap", rank);
+                let f = kernels.fields;
+                sim.store.swap(f.phi_src, f.phi_dst);
+                sim.store.swap(f.mu_src, f.mu_dst);
+            }
+        }
     }
-    sim.project_simplex(f.phi_dst);
-    sync_fields(
-        sim,
-        comm,
-        dec,
-        &[(f.phi_dst, 2u32, epoch + 2)],
-        epoch + 2,
-        cfg,
-    );
-
-    let mu_full = sim.kernels.mu_full.clone();
-    let mu_split = sim.kernels.mu_split.clone();
-    match cfg.mu_variant {
-        Variant::Full => sim.run(&mu_full),
-        Variant::Split => sim.run_split(&mu_split),
-    }
-
-    sim.store.swap(f.phi_src, f.phi_dst);
-    sim.store.swap(f.mu_src, f.mu_dst);
     sim.step_count += 1;
 }
 
@@ -717,13 +677,9 @@ where
         "kernel set needs {need} ghost layer(s) but the decomposition exchanges only {}",
         dec.ghost_layers
     );
-    // Built (and proved sound) once for the whole world; the per-rank
-    // interior/frontier split is derived from it each step.
-    let overlap_plan = if cfg.comm.overlap {
-        Some(build_overlap_plan(params, kernels, cfg, &dec))
-    } else {
-        None
-    };
+    // Built (and proved sound) once for the whole world; every rank
+    // interprets the same op list each step.
+    let step_plan = build_step_plan(params, kernels, cfg, &dec);
     let results: parking_lot::Mutex<Vec<(usize, R)>> =
         parking_lot::Mutex::new(Vec::with_capacity(cfg.ranks));
     let plan = cfg.faults.clone().map(Arc::new);
@@ -802,10 +758,7 @@ where
                         );
                     }
                 }
-                match &overlap_plan {
-                    Some(plan) => dist_step_overlapped(&mut sim, &mut comm, &dec, cfg, plan),
-                    None => dist_step(&mut sim, &mut comm, &dec, cfg),
-                }
+                dist_step(&mut sim, &mut comm, &dec, cfg, kernels, &step_plan);
                 if let Some(ck) = &cfg.checkpoint {
                     let done = sim.step_count == steps as u64;
                     let periodic = ck.every > 0 && sim.step_count.is_multiple_of(ck.every);
@@ -911,7 +864,39 @@ where
 mod tests {
     use super::*;
     use crate::kernels::generate_kernels;
+    use pf_fields::FieldArray;
     use pf_ir::GenOptions;
+
+    /// Four steps of `dcfg` from a tanh-profiled solid disc (centre and
+    /// radius in global cells) in a melt at µ = 0.1; each rank's (φ, µ).
+    fn run_disc(
+        p: &ModelParams,
+        ks: &KernelSet,
+        dcfg: &DistConfig,
+        (cx, cy, r): (f64, f64, f64),
+    ) -> Vec<(FieldArray, FieldArray)> {
+        let init_phi = |x: i64, y: i64, _z: i64| {
+            let d = (((x as f64 - cx).powi(2) + (y as f64 - cy).powi(2)).sqrt() - r) / 3.0;
+            let solid = 0.5 * (1.0 - d.tanh());
+            vec![1.0 - solid, solid]
+        };
+        let init_mu = |_: i64, _: i64, _: i64| vec![0.1];
+        run_distributed(p, ks, dcfg, 4, init_phi, init_mu, |sim| {
+            (sim.phi().clone(), sim.mu().clone())
+        })
+    }
+
+    fn assert_same_fields(
+        a: &[(FieldArray, FieldArray)],
+        b: &[(FieldArray, FieldArray)],
+        what: &str,
+    ) {
+        assert_eq!(a.len(), b.len());
+        for (a, b) in a.iter().zip(b) {
+            assert_eq!(a.0.max_abs_diff(&b.0), 0.0, "{what} phi");
+            assert_eq!(a.1.max_abs_diff(&b.1), 0.0, "{what} mu");
+        }
+    }
 
     /// Distributed (4 ranks) vs single-block: identical fields, bitwise.
     #[test]
@@ -972,34 +957,21 @@ mod tests {
     fn overlapped_schedule_matches_blocking_bitwise() {
         let p = crate::kernels::tests::mini_model();
         let ks = generate_kernels(&p, &GenOptions::default());
-        let global = [16usize, 12, 1];
-        let init_phi = |x: i64, y: i64, _z: i64| {
-            let d = (((x as f64 - 8.0).powi(2) + (y as f64 - 6.0).powi(2)).sqrt() - 4.0) / 3.0;
-            let solid = 0.5 * (1.0 - d.tanh());
-            vec![1.0 - solid, solid]
-        };
-        let init_mu = |_: i64, _: i64, _: i64| vec![0.1];
         let run = |overlap: bool, phi_v: Variant, mu_v: Variant| {
-            let mut dcfg = DistConfig::new(global, 4);
+            let mut dcfg = DistConfig::new([16, 12, 1], 4);
             dcfg.bc = [BcKind::Periodic, BcKind::Neumann, BcKind::Periodic];
             dcfg.phi_variant = phi_v;
             dcfg.mu_variant = mu_v;
             dcfg.comm.overlap = overlap;
-            run_distributed(&p, &ks, &dcfg, 4, init_phi, init_mu, |sim| {
-                (sim.phi().clone(), sim.mu().clone())
-            })
+            run_disc(&p, &ks, &dcfg, (8.0, 6.0, 4.0))
         };
         for (phi_v, mu_v) in [
             (Variant::Full, Variant::Full),
             (Variant::Full, Variant::Split),
             (Variant::Split, Variant::Split),
         ] {
-            let blocking = run(false, phi_v, mu_v);
-            let overlapped = run(true, phi_v, mu_v);
-            for (b, o) in blocking.iter().zip(&overlapped) {
-                assert_eq!(b.0.max_abs_diff(&o.0), 0.0, "{phi_v:?}/{mu_v:?} phi");
-                assert_eq!(b.1.max_abs_diff(&o.1), 0.0, "{phi_v:?}/{mu_v:?} mu");
-            }
+            let what = format!("{phi_v:?}/{mu_v:?}");
+            assert_same_fields(&run(false, phi_v, mu_v), &run(true, phi_v, mu_v), &what);
         }
     }
 
@@ -1016,47 +988,37 @@ mod tests {
             [1, 2, 1],
             "workload no longer decomposes along y; pick another shape"
         );
-        let init_phi = |x: i64, y: i64, _z: i64| {
-            let d = (((x as f64 - 4.0).powi(2) + (y as f64 - 12.0).powi(2)).sqrt() - 5.0) / 3.0;
-            let solid = 0.5 * (1.0 - d.tanh());
-            vec![1.0 - solid, solid]
-        };
-        let init_mu = |_: i64, _: i64, _: i64| vec![0.1];
         let run = |overlap: bool| {
             let mut dcfg = DistConfig::new(global, 2);
             dcfg.mu_variant = Variant::Split;
             dcfg.comm.overlap = overlap;
-            run_distributed(&p, &ks, &dcfg, 4, init_phi, init_mu, |sim| {
-                (sim.phi().clone(), sim.mu().clone())
-            })
+            run_disc(&p, &ks, &dcfg, (4.0, 12.0, 5.0))
         };
-        let blocking = run(false);
-        let overlapped = run(true);
-        for (b, o) in blocking.iter().zip(&overlapped) {
-            assert_eq!(b.0.max_abs_diff(&o.0), 0.0, "phi");
-            assert_eq!(b.1.max_abs_diff(&o.1), 0.0, "mu");
-        }
+        assert_same_fields(&run(false), &run(true), "undivided x");
     }
 
-    /// The tentpole protocol claim: the overlapped schedule is proven
-    /// deadlock-free and stale-ghost-free symbolically, for every variant
-    /// combination and every divided-pattern — i.e. for any rank count.
+    /// The protocol claim: the op list the driver runs — blocking and
+    /// overlapped — is proven deadlock-free and stale-ghost-free
+    /// symbolically, for every variant combination and every
+    /// divided-pattern, i.e. for any rank count.
     #[test]
     fn overlapped_schedule_protocol_is_proven_sound_for_all_patterns() {
         let p = crate::kernels::tests::mini_model();
         let ks = generate_kernels(&p, &GenOptions::default());
-        for (phi_v, mu_v) in [
-            (Variant::Full, Variant::Full),
-            (Variant::Full, Variant::Split),
-            (Variant::Split, Variant::Full),
-            (Variant::Split, Variant::Split),
-        ] {
-            let diags = verify_overlap_protocol(&ks, phi_v, mu_v);
-            assert!(
-                diags.is_empty(),
-                "{phi_v:?}/{mu_v:?}: {}",
-                pf_analyze::render(&diags)
-            );
+        for overlap in [false, true] {
+            for (phi_v, mu_v) in [
+                (Variant::Full, Variant::Full),
+                (Variant::Full, Variant::Split),
+                (Variant::Split, Variant::Full),
+                (Variant::Split, Variant::Split),
+            ] {
+                let diags = verify_step_protocol(&ks, phi_v, mu_v, overlap);
+                assert!(
+                    diags.is_empty(),
+                    "{phi_v:?}/{mu_v:?} overlap={overlap}: {}",
+                    pf_analyze::render(&diags)
+                );
+            }
         }
     }
 
@@ -1079,7 +1041,8 @@ mod tests {
             [false, true, true],
             "dim classes must mirror the process grid"
         );
-        let m = overlap_protocol_model(&ks, Variant::Full, Variant::Split, classes);
+        let ops = step_ops(&ks.fields, Variant::Full, Variant::Split, true);
+        let m = step_protocol_model(&ks, &ops, classes);
         let script = pf_analyze::expand_script(&m);
         assert!(
             matches!(script[0], pf_analyze::CommOp::Send { dim, .. }
@@ -1089,12 +1052,12 @@ mod tests {
 
         // Single-rank: everything is a local wrap, nothing on the wire.
         let dec1 = Decomposition::new([8, 8, 8], 1, [true; 3]);
-        let m1 = overlap_protocol_model(&ks, Variant::Full, Variant::Full, dim_classes(&dec1));
+        let m1 = step_protocol_model(&ks, &ops, dim_classes(&dec1));
         assert!(pf_analyze::expand_script(&m1).is_empty());
 
         // µ kernels read both φ generations across block faces, so the µ
         // frontier must depend on phi_dst's exchange — the model has to
-        // see thatread, or stale-ghost-freedom would be vacuous.
+        // see that read, or stale-ghost-freedom would be vacuous.
         let mu_frontier = m
             .events
             .iter()
@@ -1132,17 +1095,15 @@ mod tests {
                 pf_analyze::all_dim_patterns().contains(&classes),
                 "hierarchical pattern {classes:?} outside the proven set"
             );
-            let diags = pf_analyze::check_protocol(&overlap_protocol_model(
-                &ks,
-                Variant::Full,
-                Variant::Split,
-                classes,
-            ));
-            assert!(
-                diags.is_empty(),
-                "{nodes}x{rpn} over {global:?}: {}",
-                pf_analyze::render(&diags)
-            );
+            for overlap in [false, true] {
+                let ops = step_ops(&ks.fields, Variant::Full, Variant::Split, overlap);
+                let diags = pf_analyze::check_protocol(&step_protocol_model(&ks, &ops, classes));
+                assert!(
+                    diags.is_empty(),
+                    "{nodes}x{rpn} over {global:?} overlap={overlap}: {}",
+                    pf_analyze::render(&diags)
+                );
+            }
         }
     }
 
@@ -1154,12 +1115,6 @@ mod tests {
         let p = crate::kernels::tests::mini_model();
         let ks = generate_kernels(&p, &GenOptions::default());
         let global = [16usize, 12, 1];
-        let init_phi = |x: i64, y: i64, _z: i64| {
-            let d = (((x as f64 - 8.0).powi(2) + (y as f64 - 6.0).powi(2)).sqrt() - 4.0) / 3.0;
-            let solid = 0.5 * (1.0 - d.tanh());
-            vec![1.0 - solid, solid]
-        };
-        let init_mu = |_: i64, _: i64, _: i64| vec![0.1];
         // Same flat process grid either way, so blocks line up rank-for-rank.
         assert_eq!(
             Decomposition::hierarchical(global, 2, 2, [true; 3]).grid,
@@ -1169,17 +1124,11 @@ mod tests {
             let mut dcfg = DistConfig::new(global, 4);
             dcfg.ranks_per_node = rpn;
             dcfg.comm.overlap = overlap;
-            run_distributed(&p, &ks, &dcfg, 4, init_phi, init_mu, |sim| {
-                (sim.phi().clone(), sim.mu().clone())
-            })
+            run_disc(&p, &ks, &dcfg, (8.0, 6.0, 4.0))
         };
         for overlap in [false, true] {
-            let flat = run(None, overlap);
-            let hier = run(Some(2), overlap);
-            for (f, h) in flat.iter().zip(&hier) {
-                assert_eq!(f.0.max_abs_diff(&h.0), 0.0, "overlap={overlap} phi");
-                assert_eq!(f.1.max_abs_diff(&h.1), 0.0, "overlap={overlap} mu");
-            }
+            let what = format!("overlap={overlap}");
+            assert_same_fields(&run(None, overlap), &run(Some(2), overlap), &what);
         }
     }
 
@@ -1192,21 +1141,12 @@ mod tests {
     fn batched_exchange_matches_unbatched_bitwise_under_message_faults() {
         let p = crate::kernels::tests::mini_model();
         let ks = generate_kernels(&p, &GenOptions::default());
-        let global = [16usize, 12, 1];
-        let init_phi = |x: i64, y: i64, _z: i64| {
-            let d = (((x as f64 - 8.0).powi(2) + (y as f64 - 6.0).powi(2)).sqrt() - 4.0) / 3.0;
-            let solid = 0.5 * (1.0 - d.tanh());
-            vec![1.0 - solid, solid]
-        };
-        let init_mu = |_: i64, _: i64, _: i64| vec![0.1];
         let run = |batch: bool, overlap: bool, faults: Option<FaultPlan>| {
-            let mut dcfg = DistConfig::new(global, 4);
+            let mut dcfg = DistConfig::new([16, 12, 1], 4);
             dcfg.comm.batch = batch;
             dcfg.comm.overlap = overlap;
             dcfg.faults = faults;
-            run_distributed(&p, &ks, &dcfg, 4, init_phi, init_mu, |sim| {
-                (sim.phi().clone(), sim.mu().clone())
-            })
+            run_disc(&p, &ks, &dcfg, (8.0, 6.0, 4.0))
         };
         let plan = || {
             Some(
@@ -1223,70 +1163,135 @@ mod tests {
                 ("batched+faults", run(true, overlap, plan())),
                 ("unbatched+faults", run(false, overlap, plan())),
             ] {
-                for (c, r) in clean.iter().zip(&res) {
-                    assert_eq!(c.0.max_abs_diff(&r.0), 0.0, "{label} overlap={overlap} phi");
-                    assert_eq!(c.1.max_abs_diff(&r.1), 0.0, "{label} overlap={overlap} mu");
-                }
+                assert_same_fields(&clean, &res, &format!("{label} overlap={overlap}"));
             }
         }
     }
 
-    /// Seeded protocol mutations: each distortion of the schedule is
-    /// caught by exactly the expected diagnostic family.
+    /// Seeded mutations of the executed op list, blocking and overlapped:
+    /// each distortion is caught by exactly the expected diagnostic family.
     #[test]
     fn mutated_schedules_are_rejected() {
         let p = crate::kernels::tests::mini_model();
         let ks = generate_kernels(&p, &GenOptions::default());
         let dims = dim_classes(&Decomposition::new([8, 8, 8], 8, [true; 3]));
-        let sound = overlap_protocol_model(&ks, Variant::Full, Variant::Full, dims);
-        assert!(pf_analyze::check_protocol(&sound).is_empty());
-
-        // Swapped exchange order: begin µ with φ's epoch and vice versa —
-        // epochs regress in schedule order.
-        let mut m = sound.clone();
-        let (pf_analyze::ProtoEvent::Begin { epoch: e0, .. }, ..) = (&mut m.events[0],) else {
-            panic!("event 0 is a begin");
+        let codes = |ops: &[StepOp]| -> Vec<&'static str> {
+            pf_analyze::check_protocol(&step_protocol_model(&ks, ops, dims))
+                .iter()
+                .map(|d| d.kind.code())
+                .collect()
         };
-        *e0 = 1;
-        let pf_analyze::ProtoEvent::Begin { epoch: e1, .. } = &mut m.events[1] else {
-            panic!("event 1 is a begin");
+        let position = |ops: &[StepOp], nth: usize, pred: fn(&StepOp) -> bool| {
+            let hits: Vec<usize> = (0..ops.len()).filter(|&i| pred(&ops[i])).collect();
+            hits[nth]
         };
-        *e1 = 0;
-        assert!(pf_analyze::check_protocol(&m)
-            .iter()
-            .any(|d| d.kind.code() == "protocol.epoch-regression"),);
+        let is_begin = |op: &StepOp| matches!(op, StepOp::BeginExchange { .. });
+        let is_finish = |op: &StepOp| matches!(op, StepOp::FinishExchange);
+        for overlap in [false, true] {
+            let sound = step_ops(&ks.fields, Variant::Full, Variant::Full, overlap);
+            assert_eq!(codes(&sound), Vec::<&str>::new(), "overlap={overlap}");
 
-        // Dropped finish: the φ_dst exchange is begun but never completed.
-        let mut m = sound.clone();
-        m.events.retain(|e| {
-            !matches!(e, pf_analyze::ProtoEvent::Finish { field }
-                if *field == ks.fields.phi_dst.name())
+            // The φ_dst exchange reuses the step's first epoch offset:
+            // epochs regress in schedule order.
+            let mut ops = sound.clone();
+            let dst_begin = position(&ops, 1, is_begin);
+            let StepOp::BeginExchange { epoch, .. } = &mut ops[dst_begin] else {
+                unreachable!()
+            };
+            *epoch = 0;
+            assert!(
+                codes(&ops).contains(&"protocol.epoch-regression"),
+                "overlap={overlap}: {:?}",
+                codes(&ops)
+            );
+
+            // Dropped finish: the φ_dst exchange is begun but never
+            // completed, and the µ frontier reads mid-flight ghosts.
+            let mut ops = sound.clone();
+            ops.remove(position(&ops, 1, is_finish));
+            let c = codes(&ops);
+            assert!(c.contains(&"protocol.dropped-finish"), "{c:?}");
+            assert!(c.contains(&"protocol.frontier-before-finish"), "{c:?}");
+
+            // φ frontier hoisted before its finish: stale reads.
+            let mut ops = sound.clone();
+            let finish = position(&ops, 0, is_finish);
+            ops.swap(finish, finish + 1);
+            assert!(
+                codes(&ops).contains(&"protocol.frontier-before-finish"),
+                "overlap={overlap}: {:?}",
+                codes(&ops)
+            );
+        }
+    }
+
+    /// `check_frontier` is the spatial half of the overlap proof and must
+    /// run in every build profile: widths one cell too narrow on one side
+    /// are refused when the plan is built (CI runs this test `--release`).
+    #[test]
+    #[should_panic(expected = "overlap plan unsound for kernel 'mu_full'")]
+    fn narrowed_frontier_width_is_rejected() {
+        let p = crate::kernels::tests::mini_model();
+        let ks = generate_kernels(&p, &GenOptions::default());
+        let tapes = variant_tapes(&ks, Variant::Full, Family::Mu);
+        let mut w = phase_widths(&p, &ks, &tapes);
+        assert_frontier_sound(&p, &ks, &tapes, w);
+        w.lo[0] -= 1;
+        assert_frontier_sound(&p, &ks, &tapes, w);
+    }
+
+    /// The blocking op list costs what the hand-written blocking step
+    /// cost: one full-range launch per tape of the chosen variants, none of
+    /// the others, and per rank and step 2 exchanges × 2 x-neighbours
+    /// messages (φ_src and µ_src share theirs).
+    #[test]
+    fn blocking_op_list_launches_each_tape_once_and_keeps_the_message_count() {
+        if !pf_trace::enabled() {
+            return;
+        }
+        let p = crate::kernels::tests::mini_model();
+        let mut ks = generate_kernels(&p, &GenOptions::default());
+        // pf-trace's registry is process-wide and other tests launch the
+        // same kernels concurrently: count under names only this test uses.
+        for tape in crate::kernels::all_tapes_mut(&mut ks) {
+            tape.name = format!("oplist_{}", tape.name);
+        }
+        let dcfg = DistConfig::new([16, 12, 1], 2);
+        assert!(!dcfg.comm.overlap && dcfg.comm.batch);
+        let dec = dcfg.decomposition();
+        assert_eq!(dec.grid, [2, 1, 1]);
+        let plan = build_step_plan(&p, &ks, &dcfg, &dec);
+        let steps = 3u64;
+        let sent = parking_lot::Mutex::new(Vec::new());
+        pf_grid::run_ranks(2, |mut comm| {
+            let block = dec.block(comm.rank());
+            let mut sim_cfg = SimConfig::new(block.shape);
+            sim_cfg.bc = dcfg.bc;
+            let mut sim = Simulation::new(p.clone(), ks.clone(), sim_cfg);
+            sim.origin = block.origin;
+            for _ in 0..steps {
+                dist_step(&mut sim, &mut comm, &dec, &dcfg, &ks, &plan);
+            }
+            let n = comm
+                .stats
+                .messages_sent
+                .load(std::sync::atomic::Ordering::Relaxed);
+            sent.lock().push(n);
         });
-        let d = pf_analyze::check_protocol(&m);
-        assert!(
-            d.iter().any(|d| d.kind.code() == "protocol.dropped-finish"),
-            "{}",
-            pf_analyze::render(&d)
-        );
-        assert!(
-            d.iter()
-                .any(|d| d.kind.code() == "protocol.frontier-before-finish"),
-            "µ frontier now reads mid-flight ghosts: {}",
-            pf_analyze::render(&d)
-        );
-
-        // Frontier hoisted before the finishes: stale reads.
-        let mut m = sound.clone();
-        let frontier_idx = m
-            .events
-            .iter()
-            .position(|e| matches!(e, pf_analyze::ProtoEvent::Frontier { .. }))
-            .unwrap();
-        let ev = m.events.remove(frontier_idx);
-        m.events.insert(2, ev);
-        assert!(pf_analyze::check_protocol(&m)
-            .iter()
-            .any(|d| d.kind.code() == "protocol.frontier-before-finish"));
+        assert_eq!(*sent.lock(), [4 * steps; 2]);
+        let report = pf_trace::snapshot();
+        let launches = |tape: &Tape| {
+            let name = format!("exec.launches.{}", tape.name);
+            report.counters.get(&name).map_or(0, |c| c.total)
+        };
+        for tape in variant_tapes(&ks, dcfg.phi_variant, Family::Phi)
+            .into_iter()
+            .chain(variant_tapes(&ks, dcfg.mu_variant, Family::Mu))
+        {
+            assert_eq!(launches(tape), 2 * steps, "{}", tape.name);
+        }
+        assert_eq!(launches(&ks.mu_full), 0);
+        assert_eq!(launches(&ks.phi_split.update), 0);
     }
 
     #[test]

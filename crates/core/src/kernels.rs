@@ -122,7 +122,7 @@ pub fn field_contract(fields: &ModelFields, f: &Field) -> Option<(f64, f64)> {
     }
 }
 
-fn all_tapes_mut(ks: &mut KernelSet) -> Vec<&mut Tape> {
+pub(crate) fn all_tapes_mut(ks: &mut KernelSet) -> Vec<&mut Tape> {
     let mut tapes: Vec<&mut Tape> = vec![&mut ks.phi_full, &mut ks.mu_full];
     for split in [&mut ks.phi_split, &mut ks.mu_split] {
         tapes.extend(split.flux_tapes.iter_mut());

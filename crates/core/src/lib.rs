@@ -35,7 +35,7 @@ pub mod sim;
 pub mod tune;
 
 pub use checkpoint::{params_fingerprint, CheckpointError, CheckpointHeader, RankMeta};
-pub use dist::{dim_classes, overlap_protocol_model, verify_overlap_protocol};
+pub use dist::{dim_classes, step_ops, step_protocol_model, verify_step_protocol, StepOp};
 pub use kernels::{
     field_contract, generate_kernels, generate_kernels_from, required_halo_width,
     verify_kernel_set, KernelSet, SplitTapes,
@@ -45,7 +45,7 @@ pub use params::{p1, p2, ModelParams, TempModel};
 pub use select::{default_exec_mode, select_variants, VariantChoice};
 pub use sim::{BcKind, SimConfig, Simulation, Variant};
 pub use tune::{
-    family_fingerprint, mode_name, select_variants_tuned, select_variants_tuned_in, tune_enabled,
+    family_fingerprint, select_variants_tuned, select_variants_tuned_in, tune_enabled,
     tune_gpu_schedule, tune_kernel_set, tuned_exec_mode, variant_name, ChoiceSource, Family,
     FamilyTuneReport, GpuScheduleChoice, TuneCache, TuneEntry, TuneOptions, TunedChoice,
 };

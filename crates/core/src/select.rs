@@ -29,7 +29,7 @@ pub struct VariantChoice {
 /// engine whenever the unit-stride extent can fill at least one strip of
 /// [`pf_backend::STRIP_WIDTH`] lanes, scalar-serial for thinner blocks
 /// (where strips would be all remainder loop). `PF_EXEC_MODE` overrides
-/// (`serial` | `parallel` | `vectorized` | `native`) for experiments and
+/// (`serial` | `vectorized` | `native`, [`ExecMode::name`]) for experiments and
 /// CI; an unrecognized value warns once and falls back to the shape-based
 /// default instead of silently (or fatally) derailing a long run over a
 /// typo. `native` requests compiled-kernel execution; if `rustc` cannot
@@ -52,10 +52,13 @@ pub fn default_exec_mode(shape: [usize; 3]) -> ExecMode {
             pf_trace::counter(&format!("select.exec_mode_fallback.{reason}")).incr(1);
         }
     };
-    match std::env::var("PF_EXEC_MODE").as_deref() {
-        Ok("serial") => ExecMode::Serial,
-        Ok("parallel") => ExecMode::Parallel,
-        Ok("vectorized") => {
+    let requested = match std::env::var("PF_EXEC_MODE") {
+        Ok(v) => v.parse::<ExecMode>().map_err(|()| v),
+        Err(_) => return shape_default(),
+    };
+    match requested {
+        Ok(ExecMode::Serial) => ExecMode::Serial,
+        Ok(ExecMode::Vectorized) => {
             if shape[0] >= pf_backend::STRIP_WIDTH {
                 ExecMode::Vectorized
             } else {
@@ -76,7 +79,7 @@ pub fn default_exec_mode(shape: [usize; 3]) -> ExecMode {
                 ExecMode::Serial
             }
         }
-        Ok("native") => {
+        Ok(ExecMode::Native) => {
             if pf_backend::native_available() {
                 ExecMode::Native
             } else {
@@ -93,18 +96,17 @@ pub fn default_exec_mode(shape: [usize; 3]) -> ExecMode {
                 shape_default()
             }
         }
-        Ok(other) => {
+        Err(other) => {
             static WARN_ONCE: std::sync::Once = std::sync::Once::new();
             WARN_ONCE.call_once(|| {
                 eprintln!(
                     "warning: unrecognized PF_EXEC_MODE '{other}' \
-                     (expected serial|parallel|vectorized|native); using the default engine"
+                     (expected serial|vectorized|native); using the default engine"
                 );
             });
             fallback("unrecognized");
             shape_default()
         }
-        Err(_) => shape_default(),
     }
 }
 

@@ -413,7 +413,7 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_steps_agree() {
+    fn serial_and_vectorized_steps_agree() {
         let run = |mode| {
             let mut sim = mini_sim([12, 12, 1]);
             sim.cfg.mode = mode;
@@ -422,7 +422,7 @@ mod tests {
             sim.phi().clone()
         };
         let a = run(ExecMode::Serial);
-        let b = run(ExecMode::Parallel);
+        let b = run(ExecMode::Vectorized);
         assert_eq!(a.max_abs_diff(&b), 0.0);
     }
 

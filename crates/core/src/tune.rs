@@ -182,33 +182,21 @@ fn decode_variant(b: u8) -> Result<Variant, TuneCacheError> {
     }
 }
 
+/// Stable on-disk engine bytes. 1 was the scalar rayon engine; a record
+/// naming it is malformed, i.e. a counted miss.
 fn encode_mode(m: ExecMode) -> u8 {
     match m {
         ExecMode::Serial => 0,
-        ExecMode::Parallel => 1,
         ExecMode::Vectorized => 2,
         ExecMode::Native => 3,
     }
 }
 
 fn decode_mode(b: u8) -> Result<ExecMode, TuneCacheError> {
-    match b {
-        0 => Ok(ExecMode::Serial),
-        1 => Ok(ExecMode::Parallel),
-        2 => Ok(ExecMode::Vectorized),
-        3 => Ok(ExecMode::Native),
-        _ => Err(TuneCacheError::Malformed("exec mode")),
-    }
-}
-
-/// Human-readable engine name (matches the bench schema's mode strings).
-pub fn mode_name(m: ExecMode) -> &'static str {
-    match m {
-        ExecMode::Serial => "serial",
-        ExecMode::Parallel => "parallel",
-        ExecMode::Vectorized => "vectorized",
-        ExecMode::Native => "native",
-    }
+    ExecMode::ALL
+        .into_iter()
+        .find(|m| encode_mode(*m) == b)
+        .ok_or(TuneCacheError::Malformed("exec mode"))
 }
 
 /// Human-readable variant name (matches the bench schema's variant strings).

@@ -22,8 +22,7 @@ pub use comm::{
 };
 pub use decompose::{BlockInfo, Decomposition, Hierarchy, GHOST_LAYERS};
 pub use exchange::{
-    begin_exchange, begin_exchange_batched, exchange_halo, exchange_halo_batched, exchange_shape,
-    finish_exchange, finish_exchange_batched, first_deferred_dim, halo_bytes, pack_face,
-    unpack_face, BatchHandle, CommOptions, DimPhase, HaloHandle,
+    begin_exchange_batched, exchange_halo_batched, exchange_shape, finish_exchange_batched,
+    first_deferred_dim, halo_bytes, pack_face, unpack_face, BatchHandle, CommOptions, DimPhase,
 };
 pub use region::{split_frontier, IterRegion};

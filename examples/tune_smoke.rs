@@ -65,10 +65,10 @@ fn main() {
             r.candidates,
             r.measured,
             pf_core::variant_name(r.entry.variant),
-            pf_core::mode_name(r.entry.mode),
+            r.entry.mode.name(),
             r.entry.measured_mlups,
             pf_core::variant_name(r.static_variant),
-            pf_core::mode_name(r.static_mode),
+            r.static_mode.name(),
             r.static_mlups,
             r.regret_static * 100.0,
         );
@@ -105,7 +105,7 @@ fn main() {
         "tune-smoke: warm consult hit (phi {:?}, mu {:?}, mode {})",
         warm.phi,
         warm.mu,
-        pf_core::mode_name(mode)
+        mode.name()
     );
     println!("tune-smoke: OK");
 }

@@ -31,6 +31,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== overlap-plan frontier check in a release build =="
+# check_frontier must not hide behind debug_assertions: a narrowed width
+# has to be refused by an optimized build too.
+cargo test -q --release -p pf-core --lib narrowed_frontier_width_is_rejected
+
 echo "== build with instrumentation compiled out =="
 # The pf-trace kill switch: without default features every probe must
 # compile away, so the workspace has to keep building.
@@ -48,15 +53,20 @@ BIN=target/release
 echo "== pf-lint static verification =="
 # The full pf-analyze v2 suite as a CI gate: P1+P2 kernel sets (halo fit,
 # hazards, value lints, contract-seeded interval dataflow), their
-# GPU-rescheduled forms, and the symbolic comm-protocol proof of the
-# overlapped schedule over every divided-pattern plus the concrete
-# 2/4/8-rank decompositions. Non-zero exit on any error-severity finding;
-# LINT_report.json lands next to the bench artifacts for upload.
+# GPU-rescheduled forms, and the symbolic comm-protocol proof of the op
+# list the distributed driver executes — blocking and overlapped — over
+# every divided-pattern plus the concrete 2/4/8-rank decompositions.
+# Non-zero exit on any error-severity finding; LINT_report.json lands next
+# to the bench artifacts for upload.
 PF_BENCH_OUT_DIR="$SMOKE_DIR" "$BIN/pf-lint" > "$SMOKE_DIR/pf-lint.log" \
   || { echo "pf-lint found error-severity diagnostics:" >&2; \
        cat "$SMOKE_DIR/pf-lint.log" >&2; exit 1; }
 grep -q '^pf-lint: OK' "$SMOKE_DIR/pf-lint.log" \
   || { echo "pf-lint did not complete" >&2; exit 1; }
+for schedule in blocking overlapped; do
+  grep -q "protocol/$schedule" "$SMOKE_DIR/pf-lint.log" \
+    || { echo "pf-lint proved no protocol/$schedule row" >&2; exit 1; }
+done
 test -s "$SMOKE_DIR/LINT_report.json" \
   || { echo "pf-lint emitted no LINT_report.json artifact" >&2; exit 1; }
 # Tuned artifacts (table1) consult/fill the tuning cache; keep it hermetic

@@ -1,7 +1,7 @@
 //! Seeded-mutation suite for the pf-analyze v2 passes (interval dataflow
 //! and the symbolic comm-protocol verifier): each bug class the lint layer
 //! claims to catch is injected into otherwise-sound artifacts — real
-//! generated kernels, the real overlapped-schedule protocol model — and
+//! generated kernels, the op list the distributed driver executes — and
 //! must come back as exactly the advertised diagnostic code. This is the
 //! soundness complement to the clean-run tests in `analyze_verifier.rs`:
 //! those prove zero false positives, this file proves non-zero true
@@ -11,7 +11,9 @@ use pf_analyze::{
     check_comm_script, check_frontier, check_halo, check_protocol, render, CommOp, DiagKind,
     DimClass, FieldAlloc, ProtoEvent,
 };
-use pf_core::{dim_classes, overlap_protocol_model, ModelParams, TempModel, Variant};
+use pf_core::{
+    dim_classes, step_ops, step_protocol_model, ModelParams, StepOp, TempModel, Variant,
+};
 use pf_grid::Decomposition;
 use pf_ir::{GenOptions, Tape, TapeOp, VReg, CF};
 
@@ -124,26 +126,40 @@ fn widened_stencil_breaks_the_frontier_split() {
     );
 }
 
-// --- Mutation: swapped exchange order -----------------------------------
+// --- Mutation: reused exchange epoch ------------------------------------
 
-/// Swapping the two begin_exchange calls of the overlapped schedule (the
-/// µ exchange before the φ one) regresses the epoch sequence — caught
-/// symbolically, for every rank count, as `protocol.epoch-regression`.
+/// Issuing the second exchange of the step at the first one's epoch offset
+/// (a begin copied without bumping its epoch) regresses the epoch sequence
+/// — caught symbolically, for every rank count, on the executed op list
+/// of the blocking and the overlapped schedule alike.
 #[test]
-fn swapped_exchange_order_regresses_epochs() {
+fn reused_exchange_epoch_regresses_epochs() {
     let p = mini_model();
     let ks = pf_core::generate_kernels(&p, &GenOptions::default());
     let dims = dim_classes(&Decomposition::new([8, 8, 8], 8, [true; 3]));
-    let mut m = overlap_protocol_model(&ks, Variant::Full, Variant::Full, dims);
-    assert!(check_protocol(&m).is_empty(), "baseline must be sound");
+    for overlap in [false, true] {
+        let mut ops = step_ops(&ks.fields, Variant::Full, Variant::Full, overlap);
+        assert!(
+            check_protocol(&step_protocol_model(&ks, &ops, dims)).is_empty(),
+            "baseline must be sound"
+        );
 
-    m.events.swap(0, 1); // begin(µ) now precedes begin(φ) with a later epoch
-    let d = check_protocol(&m);
-    assert!(
-        codes(&d).contains(&"protocol.epoch-regression"),
-        "{}",
-        render(&d)
-    );
+        let dst_begin = ops
+            .iter_mut()
+            .filter_map(|op| match op {
+                StepOp::BeginExchange { epoch, .. } => Some(epoch),
+                _ => None,
+            })
+            .nth(1)
+            .expect("the step begins two exchanges");
+        *dst_begin = 0;
+        let d = check_protocol(&step_protocol_model(&ks, &ops, dims));
+        assert!(
+            codes(&d).contains(&"protocol.epoch-regression"),
+            "overlap={overlap}: {}",
+            render(&d)
+        );
+    }
 }
 
 /// The raw-script form of the same bug class: a rank that posts its recv
@@ -169,28 +185,36 @@ fn recv_before_send_is_a_deadlock() {
 
 // --- Mutation: dropped finish_exchange ----------------------------------
 
-/// Deleting a finish_exchange leaves the φ_dst exchange permanently in
-/// flight: `protocol.dropped-finish` at the orphaned begin, plus the µ
-/// frontier reading mid-flight ghosts (`protocol.frontier-before-finish`).
+/// Deleting the second finish from the executed op list leaves the φ_dst
+/// exchange permanently in flight: `protocol.dropped-finish` at the
+/// orphaned begin, plus the µ frontier reading mid-flight ghosts
+/// (`protocol.frontier-before-finish`) — blocking and overlapped.
 #[test]
 fn dropped_finish_exchange_is_caught() {
     let p = mini_model();
     let ks = pf_core::generate_kernels(&p, &GenOptions::default());
     let dims = dim_classes(&Decomposition::new([8, 8, 8], 8, [true; 3]));
-    let mut m = overlap_protocol_model(&ks, Variant::Full, Variant::Split, dims);
-    assert!(check_protocol(&m).is_empty(), "baseline must be sound");
+    for overlap in [false, true] {
+        let mut ops = step_ops(&ks.fields, Variant::Full, Variant::Split, overlap);
+        assert!(
+            check_protocol(&step_protocol_model(&ks, &ops, dims)).is_empty(),
+            "baseline must be sound"
+        );
 
-    let phi_dst = ks.fields.phi_dst.name();
-    m.events
-        .retain(|e| !matches!(e, ProtoEvent::Finish { field } if *field == phi_dst));
-    let d = check_protocol(&m);
-    let c = codes(&d);
-    assert!(c.contains(&"protocol.dropped-finish"), "{}", render(&d));
-    assert!(
-        c.contains(&"protocol.frontier-before-finish"),
-        "{}",
-        render(&d)
-    );
+        let last_finish = ops
+            .iter()
+            .rposition(|op| *op == StepOp::FinishExchange)
+            .expect("the step finishes its exchanges");
+        ops.remove(last_finish);
+        let d = check_protocol(&step_protocol_model(&ks, &ops, dims));
+        let c = codes(&d);
+        assert!(c.contains(&"protocol.dropped-finish"), "{}", render(&d));
+        assert!(
+            c.contains(&"protocol.frontier-before-finish"),
+            "overlap={overlap}: {}",
+            render(&d)
+        );
+    }
 }
 
 /// A frontier sweep reading ghosts that no exchange ever refreshed this

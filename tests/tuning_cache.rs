@@ -119,6 +119,46 @@ fn roundtrip_preserves_the_entry_bit_for_bit() {
     assert!(cache.load(1, 2, [16, 12, 2]).is_none());
 }
 
+/// Engine byte 1 named the scalar rayon engine, which no longer exists. A
+/// well-formed record carrying it (valid checksum, right key) is a typed
+/// malformed field — a counted miss, never a panic — while the same
+/// rewrite to a live engine's byte loads.
+#[test]
+fn retired_engine_byte_is_a_counted_miss() {
+    let scratch = Scratch::new("retired-engine");
+    let cache = TuneCache::at(&scratch.0);
+    let path = cache
+        .store(1, 2, SHAPE, &entry(ExecMode::Serial, 1.0))
+        .expect("store");
+    // magic 8 + version 4 + machine 8 + tapes 8 + shape 24 + variant 1.
+    const MODE_BYTE: usize = 53;
+    let rewrite_mode = |b: u8| {
+        let mut bytes = std::fs::read(&path).expect("read entry");
+        bytes[MODE_BYTE] = b;
+        let body = bytes.len() - 8;
+        let fnv = bytes[..body]
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
+                (h ^ x as u64).wrapping_mul(0x0000_0100_0000_01B3)
+            });
+        bytes[body..].copy_from_slice(&fnv.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("rewrite entry");
+    };
+    rewrite_mode(2);
+    assert_eq!(
+        cache.load(1, 2, SHAPE).map(|e| e.mode),
+        Some(ExecMode::Vectorized),
+        "the rewrite keeps the record well-formed"
+    );
+    let (miss0, corrupt0) = (counter("tune.cache.miss"), counter("tune.cache.corrupt"));
+    rewrite_mode(1);
+    assert!(cache.load(1, 2, SHAPE).is_none());
+    if pf_trace::enabled() {
+        assert!(counter("tune.cache.miss") > miss0, "counted as a miss");
+        assert!(counter("tune.cache.corrupt") > corrupt0, "with its reason");
+    }
+}
+
 #[test]
 fn warm_hit_flips_selection_and_damage_falls_back_to_the_static_choice() {
     let ks = kernels();
@@ -255,7 +295,7 @@ fn concurrent_ranks_sharing_a_cache_dir_never_see_torn_entries() {
         entry(ExecMode::Serial, 1.0),
         entry(ExecMode::Vectorized, 2.0),
         entry(ExecMode::Native, 3.0),
-        entry(ExecMode::Parallel, 4.0),
+        entry(ExecMode::Vectorized, 4.0),
     ];
     let corrupt0 = counter("tune.cache.corrupt");
     std::thread::scope(|s| {
