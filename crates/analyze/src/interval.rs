@@ -368,19 +368,10 @@ pub fn infer_intervals(tape: &Tape) -> IntervalAnalysis {
                     .min_hi(1.0)
             }
             TapeOp::Sign(a) => {
+                // Monotone, and sign(±0) = 0: the sign of each endpoint.
+                let sign = |v: f64| f64::from(i8::from(v > 0.0) - i8::from(v < 0.0));
                 let x = arg(a);
-                Interval::new(
-                    if x.lo < 0.0 {
-                        -1.0
-                    } else {
-                        x.lo.signum().min(1.0)
-                    },
-                    if x.hi > 0.0 {
-                        1.0
-                    } else {
-                        x.hi.signum().max(-1.0)
-                    },
-                )
+                Interval::new(sign(x.lo), sign(x.hi))
             }
             TapeOp::Floor(a) => {
                 let x = arg(a);
@@ -501,6 +492,29 @@ mod tests {
             "denominator lower bound {:?}",
             a.regs[5]
         );
+    }
+
+    #[test]
+    fn sign_interval_contains_every_executed_value() {
+        // Endpoints at ±0 used to go through `f64::signum` (sign(0.0) = 1):
+        // Sign([0,5]) came out [1,1], excluding the executed sign(0) = 0.
+        let exact = pf_ir::ApproxOptions::default();
+        for (lo, hi) in [(0.0, 0.0), (0.0, 5.0), (-5.0, -0.0), (-5.0, 5.0)] {
+            let mut t = raw_tape(vec![
+                load(0, 0, [0; 3]),
+                TapeOp::Sign(VReg(0)),
+                store(1, 0, [0; 3], 1),
+            ]);
+            t.field_ranges = vec![Some((lo, hi)), None];
+            let got = infer_intervals(&t).regs[1];
+            for x in [lo, hi, 0.0, -0.0, 0.5 * (lo + hi)] {
+                let v = pf_ir::UnOp::Sign.eval(x, exact);
+                assert!(
+                    got.lo <= v && v <= got.hi,
+                    "sign({x:?}) = {v} outside {got:?} for [{lo:?}, {hi:?}]"
+                );
+            }
+        }
     }
 
     #[test]

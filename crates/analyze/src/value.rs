@@ -13,7 +13,7 @@
 //! do not re-fire.
 
 use crate::diag::{DiagKind, Diagnostic};
-use pf_ir::{Tape, TapeOp};
+use pf_ir::{ApproxOptions, Arith, Tape, TapeOp};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Val {
@@ -43,104 +43,53 @@ pub fn check_values(tape: &Tape, seeded_rng: bool) -> Vec<Diagnostic> {
         // unknown so this pass stays total on malformed tapes.
         let arg =
             |r: pf_ir::VReg| -> Val { vals.get(r.0 as usize).copied().unwrap_or(Val::Unknown) };
-        let bin = |a: pf_ir::VReg, b: pf_ir::VReg, f: fn(f64, f64) -> f64| -> Val {
-            match (arg(a).get(), arg(b).get()) {
-                (Some(x), Some(y)) => Val::Known(f(x, y)),
-                _ => Val::Unknown,
+        let neg = |a: pf_ir::VReg| arg(a).get().filter(|&x| x < 0.0);
+        // What is known to go wrong at this instruction, if anything.
+        let fault = match *op {
+            TapeOp::Rand(lane) if !seeded_rng => Some(DiagKind::UnseededRand { lane }),
+            // 0/0 folds to NaN, x/0 to ±Inf — distinct findings so the
+            // fix hint differs (indeterminate form vs pole).
+            TapeOp::Div(a, b) if arg(b).get() == Some(0.0) => Some(match arg(a).get() {
+                Some(0.0) => DiagKind::ZeroOverZeroConst,
+                _ => DiagKind::DivByZeroConst,
+            }),
+            TapeOp::Sqrt(a) | TapeOp::RSqrt(a) => {
+                neg(a).map(|value| DiagKind::SqrtNegativeConst { value })
             }
-        };
-        let un = |a: pf_ir::VReg, f: fn(f64) -> f64| -> Val {
-            match arg(a).get() {
-                Some(x) => Val::Known(f(x)),
-                None => Val::Unknown,
-            }
-        };
-
-        let mut v = match *op {
-            TapeOp::Const(c) => Val::Known(c.0),
-            TapeOp::Rand(lane) => {
-                if !seeded_rng {
-                    out.push(Diagnostic::new(
-                        &tape.name,
-                        Some(i),
-                        DiagKind::UnseededRand { lane },
-                    ));
-                }
-                Val::Unknown
-            }
-            TapeOp::Add(a, b) => bin(a, b, |x, y| x + y),
-            TapeOp::Sub(a, b) => bin(a, b, |x, y| x - y),
-            TapeOp::Mul(a, b) => bin(a, b, |x, y| x * y),
-            TapeOp::Div(a, b) => {
-                if arg(b).get() == Some(0.0) {
-                    // 0/0 folds to NaN, x/0 to ±Inf — distinct findings so
-                    // the fix hint differs (indeterminate form vs pole).
-                    let kind = if arg(a).get() == Some(0.0) {
-                        DiagKind::ZeroOverZeroConst
-                    } else {
-                        DiagKind::DivByZeroConst
-                    };
-                    out.push(Diagnostic::new(&tape.name, Some(i), kind));
-                    Val::Unknown // reported at the origin; do not cascade
-                } else {
-                    bin(a, b, |x, y| x / y)
-                }
-            }
-            TapeOp::Neg(a) => un(a, |x| -x),
-            TapeOp::Sqrt(a) | TapeOp::RSqrt(a) if arg(a).get().is_some_and(|x| x < 0.0) => {
-                out.push(Diagnostic::new(
-                    &tape.name,
-                    Some(i),
-                    DiagKind::SqrtNegativeConst {
-                        value: arg(a).get().unwrap(),
-                    },
-                ));
-                Val::Unknown
-            }
-            TapeOp::Sqrt(a) => un(a, f64::sqrt),
-            TapeOp::RSqrt(a) => un(a, |x| 1.0 / x.sqrt()),
-            TapeOp::Abs(a) => un(a, f64::abs),
-            TapeOp::Min(a, b) => bin(a, b, f64::min),
-            TapeOp::Max(a, b) => bin(a, b, f64::max),
-            TapeOp::Exp(a) => un(a, f64::exp),
             // ln of a *negative* constant is NaN — flagged with its own
             // code. ln(0) = -Inf stays clean here (a pole, not an
             // indeterminate form; the interval pass judges reachability).
-            TapeOp::Ln(a) if arg(a).get().is_some_and(|x| x < 0.0) => {
-                out.push(Diagnostic::new(
-                    &tape.name,
-                    Some(i),
-                    DiagKind::LnNegativeConst {
-                        value: arg(a).get().unwrap(),
-                    },
-                ));
-                Val::Unknown
-            }
-            TapeOp::Ln(a) => un(a, f64::ln),
-            TapeOp::Sin(a) => un(a, f64::sin),
-            TapeOp::Cos(a) => un(a, f64::cos),
-            TapeOp::Tanh(a) => un(a, f64::tanh),
-            TapeOp::Sign(a) => un(a, f64::signum),
-            TapeOp::Floor(a) => un(a, f64::floor),
-            TapeOp::Powf(a, b) => bin(a, b, f64::powf),
+            TapeOp::Ln(a) => neg(a).map(|value| DiagKind::LnNegativeConst { value }),
+            _ => None,
+        };
+
+        // Folds go through the one op table, exact mode: what the engines
+        // compute, so e.g. sign(±0) folds to 0.
+        let exact = ApproxOptions::default();
+        let mut v = match *op {
+            TapeOp::Const(c) => Val::Known(c.0),
             TapeOp::CmpSelect { op, l, r, t, f } => match (arg(l).get(), arg(r).get()) {
-                (Some(x), Some(y)) => {
-                    if op.eval(x, y) {
-                        arg(t)
-                    } else {
-                        arg(f)
-                    }
-                }
+                (Some(x), Some(y)) if op.eval(x, y) => arg(t),
+                (Some(_), Some(_)) => arg(f),
                 _ => Val::Unknown,
             },
-            TapeOp::Param(_)
-            | TapeOp::Load { .. }
-            | TapeOp::Coord(_)
-            | TapeOp::Time
-            | TapeOp::CellIdx(_)
-            | TapeOp::Store { .. }
-            | TapeOp::Fence => Val::Unknown,
+            _ => match op.arith() {
+                Some(Arith::Un(o, a)) => match arg(a).get() {
+                    Some(x) => Val::Known(o.eval(x, exact)),
+                    None => Val::Unknown,
+                },
+                Some(Arith::Bin(o, a, b)) => match (arg(a).get(), arg(b).get()) {
+                    (Some(x), Some(y)) => Val::Known(o.eval(x, y, exact)),
+                    _ => Val::Unknown,
+                },
+                // Param, Load, Coord, Time, CellIdx, Rand, Store, Fence.
+                None => Val::Unknown,
+            },
         };
+        if let Some(kind) = fault {
+            out.push(Diagnostic::new(&tape.name, Some(i), kind));
+            v = Val::Unknown; // reported at the origin; do not cascade
+        }
 
         // A known NaN born at this instruction (from non-NaN inputs, since
         // reported registers are demoted to unknown) is the fault origin.
@@ -291,6 +240,23 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert!(matches!(d[0].kind, DiagKind::UnseededRand { lane: 2 }));
         assert!(!d[0].is_error());
+    }
+
+    #[test]
+    fn sign_of_a_zero_constant_folds_to_zero_like_every_engine() {
+        // 0 / sign(±0) is 0/0 in every engine; folding sign with
+        // `f64::signum` made the divisor ±1 and hid it.
+        for zero in [0.0, -0.0] {
+            let t = raw_tape(vec![
+                TapeOp::Const(CF(zero)),
+                TapeOp::Sign(VReg(0)),
+                TapeOp::Div(VReg(0), VReg(1)),
+                store(0, 0, [0; 3], 2),
+            ]);
+            let d = check_values(&t, true);
+            assert_eq!(d.len(), 1, "sign({zero:?}) must fold to 0: {d:?}");
+            assert!(matches!(d[0].kind, DiagKind::ZeroOverZeroConst), "{d:?}");
+        }
     }
 
     #[test]

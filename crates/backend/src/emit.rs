@@ -1,14 +1,18 @@
 //! C and CUDA source emission (§3.5 of the paper).
 //!
 //! "In the final step of the code generation pipeline, our intermediate
-//! representation is transformed into C or CUDA code." The native executor
-//! in `exec.rs` is what actually runs in this Rust reproduction; the
-//! emitters produce the equivalent, human-readable C/OpenMP (optionally
-//! with explicit AVX-512 intrinsics) and CUDA sources so the end-to-end
-//! artifact of the paper's pipeline — generated code — exists and can be
-//! inspected and tested.
+//! representation is transformed into C or CUDA code." The engines in
+//! `exec.rs` are what actually runs in this Rust reproduction; these are the
+//! C targets of the one lowering in [`crate::lower`] — OpenMP C, CUDA (the
+//! same walk with no loops and a bounds guard) and, in [`crate::simd`], the
+//! strip body in explicit intrinsics — so the end-to-end artifact of the
+//! paper's pipeline, generated code, exists and can be inspected, tested
+//! and handed to a C compiler (`tests/op_table.rs`).
 
-use pf_ir::{Tape, TapeOp};
+use crate::lower::{indent, loop_pos, lower_nest, Inner, Target};
+use pf_ir::interp::StoreKey;
+use pf_ir::{BinOp, Tape, TapeOp, UnOp, VReg};
+use pf_symbolic::CmpOp;
 use std::fmt::Write as _;
 
 /// CUDA thread-to-cell mapping strategies (§3.5: "for the mapping of CUDA
@@ -30,408 +34,269 @@ impl ThreadMapping {
     }
 }
 
+const XYZ: [&str; 3] = ["x", "y", "z"];
+
 fn c_ident(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect()
 }
 
-fn field_ptr(tape: &Tape, slot: u16) -> String {
-    format!("f_{}", c_ident(&tape.fields[slot as usize].name()))
+/// The scalar C target, and with `cuda` the CUDA one. `prelude` (header
+/// comment, includes, helpers) and the kernel-name `suffix` are what the
+/// three C-family emitters differ in before the signature.
+pub(crate) struct CTarget<'a> {
+    pub(crate) tape: &'a Tape,
+    pub(crate) prelude: String,
+    pub(crate) suffix: &'static str,
+    pub(crate) cuda: Option<ThreadMapping>,
 }
 
-/// Index expression for a field access in emitted code. Strides are passed
-/// as kernel arguments `s_<field>_{c,x,y,z}`.
-fn index_expr(tape: &Tape, slot: u16, comp: u16, off: [i16; 3], idx: [&str; 3]) -> String {
-    let f = c_ident(&tape.fields[slot as usize].name());
-    let mut parts = vec![format!("{comp}*s_{f}_c")];
-    for (d, iv) in idx.iter().enumerate() {
-        if off[d] == 0 {
-            parts.push(format!("({iv})*s_{f}_{}", ["x", "y", "z"][d]));
+impl CTarget<'_> {
+    /// Upper loop bound of dimension `d`: face kernels sweep `iter_extent`
+    /// cells past the interior.
+    pub(crate) fn bound(&self, d: usize) -> String {
+        match self.tape.iter_extent[d] {
+            0 => format!("n{}", XYZ[d]),
+            e => format!("n{} + {e}", XYZ[d]),
+        }
+    }
+
+    /// Index of dimension `d` for a statement inside `depth` open loops;
+    /// a CUDA thread has all three from the start.
+    fn idx(&self, d: usize, depth: usize) -> String {
+        if self.cuda.is_some() || loop_pos(self.tape.loop_order, d) < depth {
+            format!("i{}", XYZ[d])
         } else {
-            parts.push(format!("({iv} + {})*s_{f}_{}", off[d], ["x", "y", "z"][d]));
+            "0".to_owned()
         }
     }
-    parts.join(" + ")
-}
 
-fn scalar_rhs(tape: &Tape, i: usize, op: &TapeOp, idx: [&str; 3], cuda: bool) -> String {
-    let r = |v: pf_ir::VReg| format!("r{}", v.0);
-    let ap = tape.approx;
-    match *op {
-        TapeOp::Const(c) => {
-            let v = c.0;
-            if v == v.trunc() && v.abs() < 1e15 {
-                format!("{:.1}", v)
-            } else {
-                format!("{v:?}")
-            }
+    /// `f_<field>[…]`; strides are kernel arguments `s_<field>_{c,x,y,z}`.
+    pub(crate) fn access(&self, slot: u16, comp: u16, off: [i16; 3], depth: usize) -> String {
+        let f = c_ident(&self.tape.fields[slot as usize].name());
+        let mut s = format!("f_{f}[{comp}*s_{f}_c");
+        for (d, o) in off.iter().enumerate() {
+            let i = self.idx(d, depth);
+            let _ = match o {
+                0 => write!(s, " + ({i})*s_{f}_{}", XYZ[d]),
+                o => write!(s, " + ({i} + {o})*s_{f}_{}", XYZ[d]),
+            };
         }
-        TapeOp::Param(p) => format!("p_{}", c_ident(tape.params[p as usize].name())),
-        TapeOp::Load { field, comp, off } => format!(
-            "{}[{}]",
-            field_ptr(tape, field),
-            index_expr(tape, field, comp, off, idx)
-        ),
-        TapeOp::Coord(d) => format!(
-            "(origin_{0} + {1} + 0.5)*dx_{0}",
-            ["x", "y", "z"][d as usize],
-            idx[d as usize]
-        ),
-        TapeOp::Time => "t".to_owned(),
-        TapeOp::CellIdx(d) => format!(
-            "(origin_{0} + {1})",
-            ["x", "y", "z"][d as usize],
-            idx[d as usize]
-        ),
-        TapeOp::Rand(lane) => format!(
-            "philox_pm1(origin_x + {}, origin_y + {}, origin_z + {}, timestep, seed, {lane})",
-            idx[0], idx[1], idx[2]
-        ),
-        TapeOp::Add(a, b) => format!("{} + {}", r(a), r(b)),
-        TapeOp::Sub(a, b) => format!("{} - {}", r(a), r(b)),
-        TapeOp::Mul(a, b) => format!("{} * {}", r(a), r(b)),
-        TapeOp::Div(a, b) => {
-            if cuda && ap.fast_div {
-                format!("__fdividef((float){}, (float){})", r(a), r(b))
-            } else {
-                format!("{} / {}", r(a), r(b))
-            }
+        s + "]"
+    }
+
+    /// Statement indentation: a CUDA thread body has no loops around it.
+    fn ind(&self, depth: usize) -> String {
+        indent(if self.cuda.is_some() { 0 } else { depth })
+    }
+
+    fn signature(&self) -> String {
+        let tape = self.tape;
+        let mut args: Vec<String> = Vec::new();
+        for f in &tape.fields {
+            let n = c_ident(&f.name());
+            args.push(format!("double* restrict f_{n}"));
+            args.push(format!(
+                "const long s_{n}_c, const long s_{n}_x, const long s_{n}_y, const long s_{n}_z"
+            ));
         }
-        TapeOp::Neg(a) => format!("-{}", r(a)),
-        TapeOp::Sqrt(a) => {
-            if cuda && ap.fast_sqrt {
-                format!("(double)__fsqrt_rn((float){})", r(a))
-            } else {
-                format!("sqrt({})", r(a))
-            }
+        for p in &tape.params {
+            args.push(format!("const double p_{}", c_ident(p.name())));
         }
-        TapeOp::RSqrt(a) => {
-            if cuda && ap.fast_rsqrt {
-                format!("(double)__frsqrt_rn((float){})", r(a))
-            } else {
-                format!("1.0 / sqrt({})", r(a))
-            }
-        }
-        TapeOp::Abs(a) => format!("fabs({})", r(a)),
-        TapeOp::Min(a, b) => format!("fmin({}, {})", r(a), r(b)),
-        TapeOp::Max(a, b) => format!("fmax({}, {})", r(a), r(b)),
-        TapeOp::Exp(a) => format!("exp({})", r(a)),
-        TapeOp::Ln(a) => format!("log({})", r(a)),
-        TapeOp::Sin(a) => format!("sin({})", r(a)),
-        TapeOp::Cos(a) => format!("cos({})", r(a)),
-        TapeOp::Tanh(a) => format!("tanh({})", r(a)),
-        TapeOp::Sign(a) => format!("({0} > 0.0 ? 1.0 : ({0} < 0.0 ? -1.0 : 0.0))", r(a)),
-        TapeOp::Floor(a) => format!("floor({})", r(a)),
-        TapeOp::Powf(a, b) => format!("pow({}, {})", r(a), r(b)),
-        TapeOp::CmpSelect { op, l, r: rr, t, f } => {
-            format!("({} {} {} ? {} : {})", r(l), op.symbol(), r(rr), r(t), r(f))
-        }
-        TapeOp::Store { .. } | TapeOp::Fence => {
-            unreachable!("handled by caller (instr {i})")
-        }
+        args.push("const long nx, const long ny, const long nz".to_owned());
+        args.push("const long origin_x, const long origin_y, const long origin_z".to_owned());
+        args.push("const double dx_x, const double dx_y, const double dx_z".to_owned());
+        args.push("const double t, const unsigned long timestep, const unsigned seed".to_owned());
+        args.join(",\n        ")
     }
 }
 
-fn emit_instr(out: &mut String, tape: &Tape, i: usize, idx: [&str; 3], indent: &str, cuda: bool) {
-    let op = &tape.instrs[i];
-    match op {
-        TapeOp::Store {
-            field,
-            comp,
-            off,
-            val,
-        } => {
-            let _ = writeln!(
-                out,
-                "{indent}{}[{}] = r{};",
-                field_ptr(tape, *field),
-                index_expr(tape, *field, *comp, *off, idx),
-                val.0
-            );
-        }
-        TapeOp::Fence => {
-            if cuda {
-                let _ = writeln!(out, "{indent}__threadfence();");
-            } else {
-                let _ = writeln!(out, "{indent}/* scheduling fence */");
-            }
-        }
-        _ => {
-            let _ = writeln!(
-                out,
-                "{indent}const double r{i} = {};",
-                scalar_rhs(tape, i, op, idx, cuda)
-            );
-        }
-    }
-}
-
-fn signature(tape: &Tape) -> String {
-    let mut args: Vec<String> = Vec::new();
-    for f in &tape.fields {
-        let n = c_ident(&f.name());
-        args.push(format!("double* restrict f_{n}"));
-        args.push(format!(
-            "const long s_{n}_c, const long s_{n}_x, const long s_{n}_y, const long s_{n}_z"
-        ));
-    }
-    for p in &tape.params {
-        args.push(format!("const double p_{}", c_ident(p.name())));
-    }
-    args.push("const long nx, const long ny, const long nz".to_owned());
-    args.push("const long origin_x, const long origin_y, const long origin_z".to_owned());
-    args.push("const double dx_x, const double dx_y, const double dx_z".to_owned());
-    args.push("const double t, const unsigned long timestep, const unsigned seed".to_owned());
-    args.join(",\n        ")
-}
-
-/// Emit an OpenMP-parallel C kernel.
-pub fn emit_c(tape: &Tape) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "// generated by pf-backend — kernel `{}`", tape.name);
-    let _ = writeln!(out, "#include <math.h>");
-    let _ = writeln!(out, "#include \"philox.h\"");
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "void kernel_{}(\n        {})\n{{",
-        c_ident(&tape.name),
-        signature(tape)
-    );
-
-    let order = tape.loop_order;
-    let names = ["ix", "iy", "iz"];
-    let bounds = ["nx", "ny", "nz"];
-    let idx: [&str; 3] = [names[0], names[1], names[2]];
-    let sec = level_sections(tape);
-
-    // Level-0 instructions: before all loops.
-    for i in 0..sec[0] {
-        emit_instr(&mut out, tape, i, idx, "    ", false);
-    }
-
-    let loop_line = |d: usize, extra: usize| {
-        format!(
-            "for (long {n} = 0; {n} < {b}{e}; ++{n}) {{",
-            n = names[d],
-            b = bounds[d],
-            e = if extra > 0 {
-                format!(" + {extra}")
-            } else {
-                String::new()
-            }
-        )
-    };
-
-    let _ = writeln!(
-        out,
-        "    #pragma omp parallel for schedule(static)\n    {}",
-        loop_line(order[0], tape.iter_extent[order[0]])
-    );
-    for i in sec[0]..sec[1] {
-        emit_instr(&mut out, tape, i, idx, "        ", false);
-    }
-    let _ = writeln!(
-        out,
-        "        {}",
-        loop_line(order[1], tape.iter_extent[order[1]])
-    );
-    for i in sec[1]..sec[2] {
-        emit_instr(&mut out, tape, i, idx, "            ", false);
-    }
-    let _ = writeln!(
-        out,
-        "            #pragma omp simd\n            {}",
-        loop_line(order[2], tape.iter_extent[order[2]])
-    );
-    for i in sec[2]..tape.instrs.len() {
-        emit_instr(&mut out, tape, i, idx, "                ", false);
-    }
-    let _ = writeln!(out, "            }}\n        }}\n    }}\n}}");
-    out
-}
-
-/// Emit a CUDA `__global__` kernel with the chosen thread mapping.
-pub fn emit_cuda(tape: &Tape, mapping: ThreadMapping) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "// generated by pf-backend — CUDA kernel `{}`",
-        tape.name
-    );
-    let _ = writeln!(out, "#include \"philox.cuh\"");
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "__global__ void kernel_{}(\n        {})\n{{",
-        c_ident(&tape.name),
-        signature(tape).replace("restrict", "__restrict__")
-    );
-    match mapping {
-        ThreadMapping::Block3D { .. } => {
-            let _ = writeln!(
+impl Target for CTarget<'_> {
+    fn begin(&self) -> String {
+        let name = format!("kernel_{}{}", c_ident(&self.tape.name), self.suffix);
+        let sig = self.signature();
+        let mut out = self.prelude.clone();
+        let Some(mapping) = self.cuda else {
+            let _ = writeln!(out, "void {name}(\n        {sig})\n{{");
+            return out;
+        };
+        let _ = writeln!(
+            out,
+            "__global__ void {name}(\n        {})\n{{",
+            sig.replace("restrict", "__restrict__")
+        );
+        let _ = match mapping {
+            ThreadMapping::Block3D { .. } => writeln!(
                 out,
                 "    const long ix = blockIdx.x * blockDim.x + threadIdx.x;\n    \
                  const long iy = blockIdx.y * blockDim.y + threadIdx.y;\n    \
                  const long iz = blockIdx.z * blockDim.z + threadIdx.z;"
-            );
-        }
-        ThreadMapping::Linear1D { .. } => {
-            let _ = writeln!(
+            ),
+            ThreadMapping::Linear1D { .. } => writeln!(
                 out,
                 "    const long tid = blockIdx.x * blockDim.x + threadIdx.x;\n    \
-                 const long ix = tid % (nx + {ex});\n    \
-                 const long iy = (tid / (nx + {ex})) % (ny + {ey});\n    \
-                 const long iz = tid / ((nx + {ex}) * (ny + {ey}));",
-                ex = tape.iter_extent[0],
-                ey = tape.iter_extent[1]
-            );
+                 const long ix = tid % ({ex});\n    \
+                 const long iy = (tid / ({ex})) % ({ey});\n    \
+                 const long iz = tid / (({ex}) * ({ey}));",
+                ex = self.bound(0),
+                ey = self.bound(1)
+            ),
+        };
+        let _ = writeln!(
+            out,
+            "    if (ix >= {} || iy >= {} || iz >= {}) return;",
+            self.bound(0),
+            self.bound(1),
+            self.bound(2)
+        );
+        out
+    }
+
+    fn open(&self, pos: usize, inner: Inner) -> String {
+        if self.cuda.is_some() {
+            return String::new();
+        }
+        let ind = indent(pos);
+        let d = self.tape.loop_order[pos];
+        let (i, n) = (format!("i{}", XYZ[d]), self.bound(d));
+        if inner == Inner::TearDown {
+            return format!("{ind}for (; {i} < {n}; ++{i}) {{\n");
+        }
+        let pragma = match pos {
+            0 => format!("{ind}#pragma omp parallel for schedule(static)\n"),
+            2 => format!("{ind}#pragma omp simd\n"),
+            _ => String::new(),
+        };
+        format!("{pragma}{ind}for (long {i} = 0; {i} < {n}; ++{i}) {{\n")
+    }
+
+    fn def(&self, i: usize, depth: usize, rhs: &str) -> String {
+        format!("{}const double r{i} = {rhs};\n", self.ind(depth))
+    }
+
+    fn store(&self, _: usize, depth: usize, (field, comp, off): StoreKey, val: VReg) -> String {
+        let access = self.access(field, comp, off, depth);
+        format!("{}{access} = r{};\n", self.ind(depth), val.0)
+    }
+
+    fn fence(&self, _: usize, depth: usize) -> String {
+        let fence = if self.cuda.is_some() {
+            "__threadfence();"
+        } else {
+            "/* scheduling fence */"
+        };
+        format!("{}{fence}\n", self.ind(depth))
+    }
+
+    fn leaf(&self, op: &TapeOp, depth: usize) -> String {
+        let i = |d: usize| self.idx(d, depth);
+        match *op {
+            TapeOp::Const(c) => c_const(c.0),
+            TapeOp::Param(p) => format!("p_{}", c_ident(self.tape.params[p as usize].name())),
+            TapeOp::Load { field, comp, off } => self.access(field, comp, off, depth),
+            TapeOp::Coord(d) => {
+                let d = d as usize;
+                format!("(origin_{0} + {1} + 0.5)*dx_{0}", XYZ[d], i(d))
+            }
+            TapeOp::Time => "t".to_owned(),
+            TapeOp::CellIdx(d) => {
+                format!("(double)(origin_{} + {})", XYZ[d as usize], i(d as usize))
+            }
+            TapeOp::Rand(lane) => format!(
+                "philox_pm1(origin_x + {}, origin_y + {}, origin_z + {}, timestep, seed, {lane})",
+                i(0),
+                i(1),
+                i(2)
+            ),
+            _ => unreachable!("{op:?} is not a leaf"),
         }
     }
-    let _ = writeln!(
-        out,
-        "    if (ix >= nx + {} || iy >= ny + {} || iz >= nz + {}) return;",
-        tape.iter_extent[0], tape.iter_extent[1], tape.iter_extent[2]
+
+    fn un(&self, op: UnOp, a: &str) -> String {
+        let ap = self.tape.approx;
+        let call = |f: &str| format!("{f}({a})");
+        match op {
+            UnOp::Neg => format!("-{a}"),
+            UnOp::Sqrt if self.cuda.is_some() && ap.fast_sqrt => {
+                format!("(double)__fsqrt_rn((float){a})")
+            }
+            UnOp::Sqrt => call("sqrt"),
+            UnOp::RSqrt if self.cuda.is_some() && ap.fast_rsqrt => {
+                format!("(double)__frsqrt_rn((float){a})")
+            }
+            UnOp::RSqrt => format!("1.0 / sqrt({a})"),
+            UnOp::Abs => call("fabs"),
+            UnOp::Exp => call("exp"),
+            UnOp::Ln => call("log"),
+            UnOp::Sin => call("sin"),
+            UnOp::Cos => call("cos"),
+            UnOp::Tanh => call("tanh"),
+            UnOp::Sign => format!("({a} > 0.0 ? 1.0 : ({a} < 0.0 ? -1.0 : 0.0))"),
+            UnOp::Floor => call("floor"),
+        }
+    }
+
+    fn bin(&self, op: BinOp, a: &str, b: &str) -> String {
+        match op {
+            BinOp::Add => format!("{a} + {b}"),
+            BinOp::Sub => format!("{a} - {b}"),
+            BinOp::Mul => format!("{a} * {b}"),
+            BinOp::Div if self.cuda.is_some() && self.tape.approx.fast_div => {
+                format!("__fdividef((float){a}, (float){b})")
+            }
+            BinOp::Div => format!("{a} / {b}"),
+            BinOp::Min => format!("fmin({a}, {b})"),
+            BinOp::Max => format!("fmax({a}, {b})"),
+            BinOp::Powf => format!("pow({a}, {b})"),
+        }
+    }
+
+    fn select(&self, op: CmpOp, l: &str, r: &str, t: &str, f: &str) -> String {
+        format!("({l} {} {r} ? {t} : {f})", op.symbol())
+    }
+
+    fn end(&self) -> String {
+        "}\n".to_owned()
+    }
+}
+
+/// A double literal C parses back to the same bits: Rust's shortest
+/// round-trip decimal, integers with a `.0`.
+fn c_const(v: f64) -> String {
+    if v == v.trunc() && v.abs() < 1e15 {
+        format!("{v:.1}")
+    } else {
+        format!("{v:?}")
+    }
+}
+
+/// Emit an OpenMP-parallel C kernel.
+pub fn emit_c(tape: &Tape) -> String {
+    let prelude = format!(
+        "// generated by pf-backend — kernel `{}`\n#include <math.h>\n#include \"philox.h\"\n\n",
+        tape.name
     );
-    let idx: [&str; 3] = ["ix", "iy", "iz"];
-    for i in 0..tape.instrs.len() {
-        emit_instr(&mut out, tape, i, idx, "    ", true);
-    }
-    let _ = writeln!(out, "}}");
-    out
-}
-
-fn level_sections(tape: &Tape) -> [usize; 3] {
-    let monotone = tape.levels.windows(2).all(|w| w[0] <= w[1]);
-    if !monotone {
-        return [0, 0, 0];
-    }
-    let pos = |lvl: usize| {
-        tape.levels
-            .iter()
-            .position(|&l| l as usize > lvl)
-            .unwrap_or(tape.instrs.len())
+    let target = CTarget {
+        tape,
+        prelude,
+        suffix: "",
+        cuda: None,
     };
-    [pos(0), pos(1), pos(2)]
+    lower_nest(tape, &target, None)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pf_ir::{generate, GenOptions};
-    use pf_stencil::{Assignment, Discretization, StencilKernel};
-    use pf_symbolic::{Access, Expr, Field};
-
-    fn sample_tape(approx: bool) -> Tape {
-        let src = Field::new("em_src", 1, 3);
-        let dst = Field::new("em_dst", 1, 3);
-        let disc = Discretization::isotropic(3, 0.1);
-        let u = Expr::access(Access::center(src, 0));
-        let temp = Expr::sym("em_T0") + Expr::sym("em_G") * Expr::coord(2);
-        let rhs: Expr = (0..3)
-            .map(|d| Expr::d(temp.clone() * Expr::d(u.clone(), d), d))
-            .sum::<Expr>()
-            + Expr::rsqrt(u.clone() + 2.0)
-            + Expr::rand(0) * 0.001;
-        let update = disc.explicit_euler(Access::center(src, 0), &rhs, 1e-3);
-        let k = StencilKernel::new(
-            "em_heat",
-            vec![Assignment::store(Access::center(dst, 0), update)],
-        );
-        let mut t = generate(&k, &GenOptions::default());
-        if approx {
-            t.approx.fast_div = true;
-            t.approx.fast_rsqrt = true;
-        }
-        t
-    }
-
-    #[test]
-    fn c_kernel_has_openmp_and_hoisted_temperature() {
-        let tape = sample_tape(false);
-        let src = emit_c(&tape);
-        assert!(src.contains("#pragma omp parallel for"), "{src}");
-        assert!(src.contains("void kernel_em_heat"));
-        // The temperature chain must be emitted before the innermost loop:
-        // p_em_G appears textually before the `#pragma omp simd`.
-        let g_pos = src.find("p_em_G").expect("uses G");
-        let simd_pos = src.find("#pragma omp simd").expect("simd pragma");
-        assert!(g_pos < simd_pos, "temperature not hoisted:\n{src}");
-    }
-
-    #[test]
-    fn c_kernel_compiles_philox_call_for_fluctuations() {
-        let src = emit_c(&sample_tape(false));
-        assert!(src.contains("philox_pm1("), "{src}");
-    }
-
-    #[test]
-    fn cuda_kernel_has_bounds_check_and_mapping() {
-        let tape = sample_tape(false);
-        let src = emit_cuda(
-            &tape,
-            ThreadMapping::Block3D {
-                bx: 8,
-                by: 8,
-                bz: 4,
-            },
-        );
-        assert!(src.contains("__global__ void kernel_em_heat"));
-        assert!(src.contains("blockIdx.x * blockDim.x + threadIdx.x"));
-        assert!(src.contains("if (ix >= nx"));
-    }
-
-    #[test]
-    fn cuda_linear_mapping_linearizes() {
-        let tape = sample_tape(false);
-        let src = emit_cuda(&tape, ThreadMapping::Linear1D { threads: 256 });
-        assert!(src.contains("const long tid"), "{src}");
-    }
-
-    #[test]
-    fn approx_ops_emit_cuda_intrinsics() {
-        let tape = sample_tape(true);
-        let src = emit_cuda(&tape, ThreadMapping::Linear1D { threads: 128 });
-        assert!(src.contains("__frsqrt_rn"), "{src}");
-    }
-
-    #[test]
-    fn exact_mode_emits_plain_math() {
-        let tape = sample_tape(false);
-        let src = emit_cuda(&tape, ThreadMapping::Linear1D { threads: 128 });
-        assert!(!src.contains("__frsqrt_rn"));
-        assert!(src.contains("sqrt("));
-    }
-
-    #[test]
-    fn fences_emit_threadfence_in_cuda() {
-        let tape = sample_tape(false);
-        let fenced = pf_ir::insert_fences(&tape, 10);
-        let src = emit_cuda(&fenced, ThreadMapping::Linear1D { threads: 128 });
-        assert!(src.contains("__threadfence();"), "{src}");
-    }
-
-    #[test]
-    fn every_register_is_defined_before_use() {
-        let tape = sample_tape(false);
-        let src = emit_c(&tape);
-        // r<N> definitions appear in increasing textual order, so a simple
-        // scan suffices: every "rN" use must have seen "const double rN".
-        let mut defined = std::collections::HashSet::new();
-        for line in src.lines() {
-            if let Some(rest) = line.trim().strip_prefix("const double r") {
-                if let Some(end) = rest.find(' ') {
-                    if let Ok(n) = rest[..end].parse::<u32>() {
-                        defined.insert(n);
-                    }
-                }
-            }
-        }
-        for (i, op) in tape.instrs.iter().enumerate() {
-            for a in op.args() {
-                assert!(defined.contains(&a.0), "instr {i} uses undefined r{}", a.0);
-            }
-        }
-    }
+/// Emit a CUDA `__global__` kernel with the chosen thread mapping.
+pub fn emit_cuda(tape: &Tape, mapping: ThreadMapping) -> String {
+    let prelude = format!(
+        "// generated by pf-backend — CUDA kernel `{}`\n#include \"philox.cuh\"\n\n",
+        tape.name
+    );
+    let target = CTarget {
+        tape,
+        prelude,
+        suffix: "",
+        cuda: Some(mapping),
+    };
+    lower_nest(tape, &target, None)
 }

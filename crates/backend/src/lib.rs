@@ -1,24 +1,25 @@
 //! `pf-backend` — kernel backends (§3.5 of the paper).
 //!
-//! Three consumers of the optimized kernel tape:
+//! Two consumers of the optimized kernel tape, both reading an arithmetic
+//! op through the one table in `pf_ir` (`UnOp`/`BinOp`):
 //!
-//! * [`run_kernel`] — the native executor: the tape interpreted over real
-//!   field arrays — serially, rayon-parallel (the OpenMP analogue), or
-//!   strip-mined over x-strips of [`STRIP_WIDTH`] cells (the explicitly
-//!   vectorized kernels of §3.5). This is what simulations and benchmarks
-//!   in this reproduction actually run.
-//! * [`emit_c`] — readable C/OpenMP source, with LICM-hoisted sections
-//!   placed at the right loop depths.
-//! * [`emit_cuda`] — CUDA source with selectable thread-to-cell mappings,
-//!   `__threadfence()` scheduling fences, and approximate-math intrinsics
-//!   (`__fdividef`, `__frsqrt_rn`).
-//! * [`crate::native`] — the paper's actual pipeline closed end to end:
-//!   the tape emitted as Rust source, compiled to a cdylib with `rustc`,
-//!   loaded with `dlopen` and dispatched through a typed C ABI
-//!   ([`ExecMode::Native`]), bitwise identical to the interpreters.
+//! * [`run_kernel`] — the executor: the tape interpreted over real field
+//!   arrays — serially, or strip-mined over x-strips of [`STRIP_WIDTH`]
+//!   cells across the rayon pool (the explicitly vectorized OpenMP kernels
+//!   of §3.5) — or run as compiled code ([`ExecMode::Native`]). This is
+//!   what simulations and benchmarks in this reproduction actually run.
+//! * one loop-nest lowering ([`lower`]) with four targets: [`emit_rust`]
+//!   (scalar Rust, what [`native`] compiles with `rustc`, loads with
+//!   `dlopen` and dispatches through a typed C ABI, bitwise identical to
+//!   the interpreters), [`emit_c`] (C/OpenMP, LICM-hoisted sections at
+//!   their loop depths), [`emit_cuda`] (selectable thread-to-cell mappings,
+//!   `__threadfence()` scheduling fences, approximate-math intrinsics
+//!   `__fdividef`/`__frsqrt_rn`) and [`emit_c_simd`] (strip loop in
+//!   AVX-512/AVX2/SSE intrinsics plus a scalar tear-down loop).
 
 mod emit;
 mod exec;
+mod lower;
 pub mod native;
 mod simd;
 mod store;

@@ -4,8 +4,8 @@
 //! per instruction; the paper's pipeline instead *generates* source,
 //! compiles it, and runs the machine code. This module closes that loop
 //! inside the reproduction: each verified tape is emitted as a
-//! self-contained Rust source file (reusing the LICM level-section
-//! structure that `emit_c` prints), compiled to a cdylib with the
+//! self-contained Rust source file (the scalar Rust target of the one
+//! loop-nest lowering in [`crate::lower`]), compiled to a cdylib with the
 //! in-container `rustc`, loaded with `dlopen`, and dispatched through a
 //! typed `extern "C"` ABI.
 //!
@@ -15,7 +15,7 @@
 //! reproduced via `f64::from_bits`, the Philox 4x32-10 generator is inlined
 //! textually (integer ops are exact), and `rustc` contracts nothing
 //! without fast-math flags. Hoisted sections evaluate with not-yet-entered
-//! loop indices pinned to 0, exactly like `CellCursor`.
+//! loop indices pinned to 0, exactly like the interpreters' `Cursor`.
 //!
 //! ## Caching
 //!
@@ -39,9 +39,12 @@
 //! (disk artifact rejected and replaced).
 
 use crate::exec::{ExecError, RunCtx};
+use crate::lower::{indent, loop_pos, lower_nest, Inner, Target};
 use pf_fields::FieldArray;
 use pf_grid::IterRegion;
-use pf_ir::{Tape, TapeOp};
+use pf_ir::interp::StoreKey;
+use pf_ir::{BinOp, Tape, TapeOp, UnOp, VReg};
+use pf_symbolic::CmpOp;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::os::raw::{c_char, c_int, c_void};
@@ -157,11 +160,9 @@ pub fn emit_rust(tape: &Tape) -> String {
 }
 
 /// Loop-position index tokens: dimension `d`'s index variable once `depth`
-/// loops are open, or a literal 0 for loops not yet entered — matching the
-/// interpreter, whose hoisted sections run with `idx3` zeroed for inner
-/// dimensions.
+/// loops are open, or a literal 0 for loops not yet entered.
 fn idx_token(order: [usize; 3], depth: usize, d: usize) -> &'static str {
-    let pos = order.iter().position(|&o| o == d).expect("permutation");
+    let pos = loop_pos(order, d);
     if pos < depth {
         ["i0", "i1", "i2"][pos]
     } else {
@@ -169,339 +170,305 @@ fn idx_token(order: [usize; 3], depth: usize, d: usize) -> &'static str {
     }
 }
 
-/// `base + comp·s[0] + Σ (idx+off)·s[d+1]` as i64 source.
-fn index_expr(slot: u16, comp: u16, off: [i16; 3], order: [usize; 3], depth: usize) -> String {
-    let mut s = format!("fb{slot}");
-    if comp != 0 {
-        let _ = write!(s, " + {comp} * fs{slot}[0]");
-    }
-    for (d, &o) in off.iter().enumerate() {
-        let tok = idx_token(order, depth, d);
-        let idx = if tok == "0" {
-            "0i64".to_string()
-        } else {
-            format!("{tok} as i64")
-        };
-        match o {
-            0 => {
-                let _ = write!(s, " + ({idx}) * fs{slot}[{}]", d + 1);
-            }
-            o => {
-                let _ = write!(s, " + ({idx} + ({o})) * fs{slot}[{}]", d + 1);
-            }
-        }
-    }
-    s
-}
+/// The scalar Rust target: what [`ExecMode::Native`](crate::ExecMode)
+/// compiles. Its output is pinned byte for byte (`tests/op_table.rs`):
+/// artifact caches key on it.
+struct RustTarget<'a>(&'a Tape);
 
-/// Right-hand side of instruction `i` at loop `depth`. Mirrors
-/// `CellCursor::exec_section_rw` operation for operation.
-fn rhs(tape: &Tape, op: &TapeOp, order: [usize; 3], depth: usize) -> String {
-    let r = |v: pf_ir::VReg| format!("r{}", v.0);
-    let ap = tape.approx;
-    let coord_idx = |d: u8| {
-        let tok = idx_token(order, depth, d as usize);
-        if tok == "0" {
-            "0.0f64".to_string()
-        } else {
-            format!("{tok} as f64")
+impl RustTarget<'_> {
+    /// `*f.offset(base + comp·s[0] + Σ (idx+off)·s[d+1])` as source.
+    fn access(&self, slot: u16, comp: u16, off: [i16; 3], depth: usize) -> String {
+        let mut s = format!("fb{slot}");
+        if comp != 0 {
+            let _ = write!(s, " + {comp} * fs{slot}[0]");
         }
-    };
-    match *op {
-        TapeOp::Const(c) => format!(
-            "f64::from_bits(0x{:016x}u64) /* {:?} */",
-            c.0.to_bits(),
-            c.0
-        ),
-        TapeOp::Param(p) => format!("params[{p}]"),
-        TapeOp::Load { field, comp, off } => format!(
-            "*f{field}.offset(({}) as isize)",
-            index_expr(field, comp, off, order, depth)
-        ),
-        TapeOp::Coord(d) => format!(
-            "(origin[{0}] as f64 + {1} + 0.5) * dx[{0}]",
-            d as usize,
-            coord_idx(d)
-        ),
-        TapeOp::Time => "time".into(),
-        TapeOp::CellIdx(d) => format!("origin[{0}] as f64 + {1}", d as usize, coord_idx(d)),
-        TapeOp::Rand(lane) => {
-            let cell = |d: usize| {
-                let tok = idx_token(order, depth, d);
-                if tok == "0" {
-                    format!("origin[{d}]")
-                } else {
-                    format!("origin[{d}] + {tok} as i64")
-                }
+        for (d, &o) in off.iter().enumerate() {
+            let tok = idx_token(self.0.loop_order, depth, d);
+            let idx = if tok == "0" {
+                "0i64".to_string()
+            } else {
+                format!("{tok} as i64")
             };
-            format!(
-                "pf_rand_pm1([{}, {}, {}], timestep, seed, {lane})",
-                cell(0),
-                cell(1),
-                cell(2)
-            )
-        }
-        TapeOp::Add(a, b) => format!("{} + {}", r(a), r(b)),
-        TapeOp::Sub(a, b) => format!("{} - {}", r(a), r(b)),
-        TapeOp::Mul(a, b) => format!("{} * {}", r(a), r(b)),
-        TapeOp::Div(a, b) => {
-            if ap.fast_div {
-                format!("pf_f32_div({}, {})", r(a), r(b))
-            } else {
-                format!("{} / {}", r(a), r(b))
+            match o {
+                0 => {
+                    let _ = write!(s, " + ({idx}) * fs{slot}[{}]", d + 1);
+                }
+                o => {
+                    let _ = write!(s, " + ({idx} + ({o})) * fs{slot}[{}]", d + 1);
+                }
             }
         }
-        TapeOp::Neg(a) => format!("-{}", r(a)),
-        TapeOp::Sqrt(a) => {
-            if ap.fast_sqrt {
-                format!("pf_f32_sqrt({})", r(a))
-            } else {
-                format!("{}.sqrt()", r(a))
-            }
-        }
-        TapeOp::RSqrt(a) => {
-            if ap.fast_rsqrt {
-                format!("pf_f32_rsqrt({})", r(a))
-            } else {
-                format!("1.0 / {}.sqrt()", r(a))
-            }
-        }
-        TapeOp::Abs(a) => format!("{}.abs()", r(a)),
-        TapeOp::Min(a, b) => format!("{}.min({})", r(a), r(b)),
-        TapeOp::Max(a, b) => format!("{}.max({})", r(a), r(b)),
-        TapeOp::Exp(a) => format!("{}.exp()", r(a)),
-        TapeOp::Ln(a) => format!("{}.ln()", r(a)),
-        TapeOp::Sin(a) => format!("{}.sin()", r(a)),
-        TapeOp::Cos(a) => format!("{}.cos()", r(a)),
-        TapeOp::Tanh(a) => format!("{}.tanh()", r(a)),
-        TapeOp::Sign(a) => format!(
-            "if {0} > 0.0 {{ 1.0 }} else if {0} < 0.0 {{ -1.0 }} else {{ 0.0 }}",
-            r(a)
-        ),
-        TapeOp::Floor(a) => format!("{}.floor()", r(a)),
-        TapeOp::Powf(a, b) => format!("{}.powf({})", r(a), r(b)),
-        TapeOp::CmpSelect { op, l, r: rr, t, f } => format!(
-            "if {} {} {} {{ {} }} else {{ {} }}",
-            r(l),
-            op.symbol(),
-            r(rr),
-            r(t),
-            r(f)
-        ),
-        TapeOp::Fence => "0.0f64".into(),
-        TapeOp::Store { .. } => unreachable!("stores are emitted as statements"),
+        format!("*f{slot}.offset(({s}) as isize)")
     }
 }
 
-fn emit_instr(out: &mut String, tape: &Tape, i: usize, order: [usize; 3], depth: usize) {
-    let indent = "    ".repeat(depth + 1);
-    match tape.instrs[i] {
-        TapeOp::Store {
-            field,
-            comp,
-            off,
-            val,
-        } => {
-            if depth > 0 {
-                let _ = writeln!(
-                    out,
-                    "{indent}*f{field}.offset(({}) as isize) = r{};",
-                    index_expr(field, comp, off, order, depth),
-                    val.0
-                );
-            }
-            // else: the interpreter discards stores in the launch-invariant
-            // section (they never occur in practice — the levels pass pins
-            // stores per-cell). Either way the store's register carries the
-            // stored value, exactly like `regs[i] = v`.
-            let _ = writeln!(out, "{indent}let r{i}: f64 = r{};", val.0);
-        }
-        ref op => {
+impl Target for RustTarget<'_> {
+    /// Philox + approx-math preamble, the ABI struct, and the head of the
+    /// loop-nest body over one outer-loop chunk.
+    fn begin(&self) -> String {
+        let tape = self.0;
+        let n_fields = tape.fields.len();
+        let n_params = tape.params.len();
+        let mut s = String::with_capacity(8192);
+        let _ = writeln!(
+            s,
+            "// generated by pf-backend native — kernel `{}`",
+            tape.name
+        );
+        let _ = writeln!(
+            s,
+            "// {ABI_TAG}; structural_hash 0x{:016x}",
+            tape.structural_hash()
+        );
+        let _ = writeln!(
+            s,
+            "#![allow(unused_variables, unused_parens, unused_mut, dead_code, unused_unsafe)]\n"
+        );
+        // ABI structs.
+        let _ = writeln!(
+            s,
+            "#[repr(C)]\npub struct PfField {{ pub ptr: *mut f64, pub base: i64, pub stride: [i64; 4] }}\n\
+             unsafe impl Send for PfField {{}}\n\
+             unsafe impl Sync for PfField {{}}\n"
+        );
+        s.push_str(PREAMBLE);
+        let _ = writeln!(
+            s,
+            "unsafe fn pf_body(\n    fields: &[PfField; {n_fields}],\n    params: &[f64; {n_params}],\n    \
+             lo: [usize; 3], hi: [usize; 3],\n    outer_lo: usize, outer_hi: usize,\n    \
+             origin: [i64; 3], dx: [f64; 3],\n    time: f64, timestep: u64, seed: u32,\n) {{"
+        );
+        for f in 0..n_fields {
             let _ = writeln!(
-                out,
-                "{indent}let r{i}: f64 = {};",
-                rhs(tape, op, order, depth)
+                s,
+                "    let f{f} = fields[{f}].ptr;\n    let fb{f} = fields[{f}].base;\n    let fs{f} = fields[{f}].stride;"
             );
         }
+        s
+    }
+
+    fn open(&self, pos: usize, _: Inner) -> String {
+        let ind = indent(pos);
+        match pos {
+            0 => format!("{ind}for i0 in outer_lo..outer_hi {{\n"),
+            _ => format!(
+                "{ind}for i{pos} in lo[{0}]..hi[{0}] {{\n",
+                self.0.loop_order[pos]
+            ),
+        }
+    }
+
+    fn def(&self, i: usize, depth: usize, rhs: &str) -> String {
+        format!("{}let r{i}: f64 = {rhs};\n", indent(depth))
+    }
+
+    fn store(&self, i: usize, depth: usize, (field, comp, off): StoreKey, val: VReg) -> String {
+        // The interpreters discard stores in the launch-invariant section
+        // (they never occur in practice — the levels pass pins stores
+        // per-cell). Either way the store's register carries the stored
+        // value, exactly like `regs[i] = v`.
+        let value = self.def(i, depth, &self.arg(val));
+        if depth == 0 {
+            return value;
+        }
+        let access = self.access(field, comp, off, depth);
+        format!("{}{access} = r{};\n{value}", indent(depth), val.0)
+    }
+
+    fn fence(&self, i: usize, depth: usize) -> String {
+        self.def(i, depth, "0.0f64")
+    }
+
+    fn leaf(&self, op: &TapeOp, depth: usize) -> String {
+        let order = self.0.loop_order;
+        let coord_idx = |d: u8| {
+            let tok = idx_token(order, depth, d as usize);
+            if tok == "0" {
+                "0.0f64".to_string()
+            } else {
+                format!("{tok} as f64")
+            }
+        };
+        match *op {
+            TapeOp::Const(c) => format!(
+                "f64::from_bits(0x{:016x}u64) /* {:?} */",
+                c.0.to_bits(),
+                c.0
+            ),
+            TapeOp::Param(p) => format!("params[{p}]"),
+            TapeOp::Load { field, comp, off } => self.access(field, comp, off, depth),
+            TapeOp::Coord(d) => format!(
+                "(origin[{0}] as f64 + {1} + 0.5) * dx[{0}]",
+                d as usize,
+                coord_idx(d)
+            ),
+            TapeOp::Time => "time".into(),
+            TapeOp::CellIdx(d) => format!("origin[{0}] as f64 + {1}", d as usize, coord_idx(d)),
+            TapeOp::Rand(lane) => {
+                let cell = |d: usize| {
+                    let tok = idx_token(order, depth, d);
+                    if tok == "0" {
+                        format!("origin[{d}]")
+                    } else {
+                        format!("origin[{d}] + {tok} as i64")
+                    }
+                };
+                format!(
+                    "pf_rand_pm1([{}, {}, {}], timestep, seed, {lane})",
+                    cell(0),
+                    cell(1),
+                    cell(2)
+                )
+            }
+            _ => unreachable!("{op:?} is not a leaf"),
+        }
+    }
+
+    fn un(&self, op: UnOp, a: &str) -> String {
+        let ap = self.0.approx;
+        match op {
+            UnOp::Neg => format!("-{a}"),
+            UnOp::Sqrt if ap.fast_sqrt => format!("pf_f32_sqrt({a})"),
+            UnOp::Sqrt => format!("{a}.sqrt()"),
+            UnOp::RSqrt if ap.fast_rsqrt => format!("pf_f32_rsqrt({a})"),
+            UnOp::RSqrt => format!("1.0 / {a}.sqrt()"),
+            UnOp::Abs => format!("{a}.abs()"),
+            UnOp::Exp => format!("{a}.exp()"),
+            UnOp::Ln => format!("{a}.ln()"),
+            UnOp::Sin => format!("{a}.sin()"),
+            UnOp::Cos => format!("{a}.cos()"),
+            UnOp::Tanh => format!("{a}.tanh()"),
+            UnOp::Sign => {
+                format!("if {a} > 0.0 {{ 1.0 }} else if {a} < 0.0 {{ -1.0 }} else {{ 0.0 }}")
+            }
+            UnOp::Floor => format!("{a}.floor()"),
+        }
+    }
+
+    fn bin(&self, op: BinOp, a: &str, b: &str) -> String {
+        match op {
+            BinOp::Add => format!("{a} + {b}"),
+            BinOp::Sub => format!("{a} - {b}"),
+            BinOp::Mul => format!("{a} * {b}"),
+            BinOp::Div if self.0.approx.fast_div => format!("pf_f32_div({a}, {b})"),
+            BinOp::Div => format!("{a} / {b}"),
+            BinOp::Min => format!("{a}.min({b})"),
+            BinOp::Max => format!("{a}.max({b})"),
+            BinOp::Powf => format!("{a}.powf({b})"),
+        }
+    }
+
+    fn select(&self, op: CmpOp, l: &str, r: &str, t: &str, f: &str) -> String {
+        format!("if {l} {} {r} {{ {t} }} else {{ {f} }}", op.symbol())
+    }
+
+    /// The `pf_kernel` entry point: ABI checks, then serial or
+    /// outer-slab-threaded dispatch. Any outer-chunk split is bitwise-neutral:
+    /// cell semantics are keyed on absolute indices and stores hit the centre
+    /// cell along the outer dimension (enforced by the host before native
+    /// dispatch).
+    fn end(&self) -> String {
+        let n_fields = self.0.fields.len();
+        let n_params = self.0.params.len();
+        let mut s = String::from("}\n\n");
+        let _ = writeln!(
+            s,
+            "#[no_mangle]\npub unsafe extern \"C\" fn pf_kernel(\n    \
+             fields: *const PfField, n_fields: u64,\n    \
+             params: *const f64, n_params: u64,\n    \
+             lo: *const u64, hi: *const u64,\n    \
+             origin: *const i64, dx: *const f64,\n    \
+             time: f64, timestep: u64, seed: u32,\n    n_threads: u64,\n) -> i32 {{\n    \
+             if n_fields != {n_fields} {{ return 1; }}\n    \
+             if n_params != {n_params} {{ return 2; }}\n    \
+             let fields: &[PfField; {n_fields}] = &*(fields as *const [PfField; {n_fields}]);"
+        );
+        if n_params > 0 {
+            let _ = writeln!(
+                s,
+                "    let params: &[f64; {n_params}] = &*(params as *const [f64; {n_params}]);"
+            );
+        } else {
+            let _ = writeln!(s, "    let params: &[f64; 0] = &[];");
+        }
+        let _ = write!(
+            s,
+            "    let lo = [*lo.add(0) as usize, *lo.add(1) as usize, *lo.add(2) as usize];\n    \
+             let hi = [*hi.add(0) as usize, *hi.add(1) as usize, *hi.add(2) as usize];\n    \
+             let origin = [*origin.add(0), *origin.add(1), *origin.add(2)];\n    \
+             let dx = [*dx.add(0), *dx.add(1), *dx.add(2)];\n    \
+             let o_lo = lo[{0}];\n    let o_hi = hi[{0}];\n    \
+             let span = o_hi.saturating_sub(o_lo);\n    \
+             let nt = if n_threads == 0 {{ 1 }} else {{ n_threads as usize }}.min(span.max(1));\n    \
+             if nt <= 1 {{\n        \
+             pf_body(fields, params, lo, hi, o_lo, o_hi, origin, dx, time, timestep, seed);\n    \
+             }} else {{\n        \
+             let chunk = span.div_ceil(nt);\n        \
+             std::thread::scope(|sc| {{\n            \
+             for t in 0..nt {{\n                \
+             let a = o_lo + t * chunk;\n                \
+             let b = (a + chunk).min(o_hi);\n                \
+             if a >= b {{ continue; }}\n                \
+             sc.spawn(move || unsafe {{\n                    \
+             pf_body(fields, params, lo, hi, a, b, origin, dx, time, timestep, seed)\n                \
+             }});\n            \
+             }}\n        \
+             }});\n    \
+             }}\n    0\n}}\n",
+            self.0.loop_order[0]
+        );
+        s
     }
 }
 
-/// Level-section boundaries, identical to the interpreter's `Plan::sec`
-/// logic: usable only when levels are monotone; a GPU-rescheduled tape
-/// collapses every section into the per-cell loop.
-fn level_sections(tape: &Tape) -> [usize; 3] {
-    let monotone = tape.levels.windows(2).all(|w| w[0] <= w[1]);
-    if !monotone {
-        return [0, 0, 0];
-    }
-    let pos = |lvl: usize| {
-        tape.levels
-            .iter()
-            .position(|&l| l as usize > lvl)
-            .unwrap_or(tape.instrs.len())
-    };
-    [pos(0), pos(1), pos(2)]
-}
-
-/// Generated source body: Philox + approx-math preamble, the ABI structs,
-/// the loop-nest body and the `pf_kernel` entry point.
-fn emit_body(tape: &Tape) -> String {
-    let order = tape.loop_order;
-    let n_fields = tape.fields.len();
-    let n_params = tape.params.len();
-    let sec = level_sections(tape);
-    let n = tape.instrs.len();
-
-    let mut s = String::with_capacity(8192);
-    let _ = writeln!(
-        s,
-        "// generated by pf-backend native — kernel `{}`",
-        tape.name
-    );
-    let _ = writeln!(
-        s,
-        "// {ABI_TAG}; structural_hash 0x{:016x}",
-        tape.structural_hash()
-    );
-    let _ = writeln!(
-        s,
-        "#![allow(unused_variables, unused_parens, unused_mut, dead_code, unused_unsafe)]\n"
-    );
-    // ABI structs.
-    let _ = writeln!(
-        s,
-        "#[repr(C)]\npub struct PfField {{ pub ptr: *mut f64, pub base: i64, pub stride: [i64; 4] }}\n\
-         unsafe impl Send for PfField {{}}\n\
-         unsafe impl Sync for PfField {{}}\n"
-    );
-    // Philox 4x32-10, textually identical to pf-rng (integer ops: exact).
-    s.push_str(
-        "const PHILOX_M0: u32 = 0xD251_1F53;\n\
-         const PHILOX_M1: u32 = 0xCD9E_8D57;\n\
-         const PHILOX_W0: u32 = 0x9E37_79B9;\n\
-         const PHILOX_W1: u32 = 0xBB67_AE85;\n\
-         #[inline(always)]\n\
-         fn mulhilo(a: u32, b: u32) -> (u32, u32) {\n\
-             let p = (a as u64) * (b as u64);\n\
-             ((p >> 32) as u32, p as u32)\n\
-         }\n\
-         #[inline(always)]\n\
-         fn philox_round(ctr: [u32; 4], key: [u32; 2]) -> [u32; 4] {\n\
-             let (hi0, lo0) = mulhilo(PHILOX_M0, ctr[0]);\n\
-             let (hi1, lo1) = mulhilo(PHILOX_M1, ctr[2]);\n\
-             [hi1 ^ ctr[1] ^ key[0], lo1, hi0 ^ ctr[3] ^ key[1], lo0]\n\
-         }\n\
-         #[inline(always)]\n\
-         fn philox4x32(mut ctr: [u32; 4], mut key: [u32; 2]) -> [u32; 4] {\n\
-             for r in 0..10u32 {\n\
-                 if r > 0 {\n\
-                     key = [key[0].wrapping_add(PHILOX_W0), key[1].wrapping_add(PHILOX_W1)];\n\
-                 }\n\
-                 ctr = philox_round(ctr, key);\n\
+/// Philox 4x32-10, textually identical to pf-rng (integer ops: exact), and
+/// the f32 round-trips of `pf_ir::ApproxOptions`.
+const PREAMBLE: &str = "const PHILOX_M0: u32 = 0xD251_1F53;\n\
+     const PHILOX_M1: u32 = 0xCD9E_8D57;\n\
+     const PHILOX_W0: u32 = 0x9E37_79B9;\n\
+     const PHILOX_W1: u32 = 0xBB67_AE85;\n\
+     #[inline(always)]\n\
+     fn mulhilo(a: u32, b: u32) -> (u32, u32) {\n\
+         let p = (a as u64) * (b as u64);\n\
+         ((p >> 32) as u32, p as u32)\n\
+     }\n\
+     #[inline(always)]\n\
+     fn philox_round(ctr: [u32; 4], key: [u32; 2]) -> [u32; 4] {\n\
+         let (hi0, lo0) = mulhilo(PHILOX_M0, ctr[0]);\n\
+         let (hi1, lo1) = mulhilo(PHILOX_M1, ctr[2]);\n\
+         [hi1 ^ ctr[1] ^ key[0], lo1, hi0 ^ ctr[3] ^ key[1], lo0]\n\
+     }\n\
+     #[inline(always)]\n\
+     fn philox4x32(mut ctr: [u32; 4], mut key: [u32; 2]) -> [u32; 4] {\n\
+         for r in 0..10u32 {\n\
+             if r > 0 {\n\
+                 key = [key[0].wrapping_add(PHILOX_W0), key[1].wrapping_add(PHILOX_W1)];\n\
              }\n\
-             ctr\n\
+             ctr = philox_round(ctr, key);\n\
          }\n\
-         #[inline(always)]\n\
-         fn pf_rand_pm1(cell: [i64; 3], timestep: u64, seed: u32, lane: u32) -> f64 {\n\
-             let ctr = [cell[0] as u32, cell[1] as u32, cell[2] as u32, timestep as u32];\n\
-             let hi_mix = ((cell[0] as u64 >> 32) as u32)\n\
-                 ^ ((cell[1] as u64 >> 32) as u32).rotate_left(11)\n\
-                 ^ ((cell[2] as u64 >> 32) as u32).rotate_left(22)\n\
-                 ^ ((timestep >> 32) as u32).rotate_left(7);\n\
-             let r = philox4x32(ctr, [seed ^ hi_mix, lane]);\n\
-             let bits = ((r[0] as u64) << 32) | r[1] as u64;\n\
-             2.0 * ((bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) - 1.0\n\
-         }\n\
-         #[inline(always)]\n\
-         fn pf_f32_div(a: f64, b: f64) -> f64 { (a as f32 / b as f32) as f64 }\n\
-         #[inline(always)]\n\
-         fn pf_f32_sqrt(a: f64) -> f64 { (a as f32).sqrt() as f64 }\n\
-         #[inline(always)]\n\
-         fn pf_f32_rsqrt(a: f64) -> f64 { (1.0 / (a as f32).sqrt()) as f64 }\n\n",
-    );
+         ctr\n\
+     }\n\
+     #[inline(always)]\n\
+     fn pf_rand_pm1(cell: [i64; 3], timestep: u64, seed: u32, lane: u32) -> f64 {\n\
+         let ctr = [cell[0] as u32, cell[1] as u32, cell[2] as u32, timestep as u32];\n\
+         let hi_mix = ((cell[0] as u64 >> 32) as u32)\n\
+             ^ ((cell[1] as u64 >> 32) as u32).rotate_left(11)\n\
+             ^ ((cell[2] as u64 >> 32) as u32).rotate_left(22)\n\
+             ^ ((timestep >> 32) as u32).rotate_left(7);\n\
+         let r = philox4x32(ctr, [seed ^ hi_mix, lane]);\n\
+         let bits = ((r[0] as u64) << 32) | r[1] as u64;\n\
+         2.0 * ((bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)) - 1.0\n\
+     }\n\
+     #[inline(always)]\n\
+     fn pf_f32_div(a: f64, b: f64) -> f64 { (a as f32 / b as f32) as f64 }\n\
+     #[inline(always)]\n\
+     fn pf_f32_sqrt(a: f64) -> f64 { (a as f32).sqrt() as f64 }\n\
+     #[inline(always)]\n\
+     fn pf_f32_rsqrt(a: f64) -> f64 { (1.0 / (a as f32).sqrt()) as f64 }\n\n";
 
-    // The loop-nest body over one outer-loop chunk.
-    let _ = writeln!(
-        s,
-        "unsafe fn pf_body(\n    fields: &[PfField; {n_fields}],\n    params: &[f64; {n_params}],\n    \
-         lo: [usize; 3], hi: [usize; 3],\n    outer_lo: usize, outer_hi: usize,\n    \
-         origin: [i64; 3], dx: [f64; 3],\n    time: f64, timestep: u64, seed: u32,\n) {{"
-    );
-    for f in 0..n_fields {
-        let _ = writeln!(
-            s,
-            "    let f{f} = fields[{f}].ptr;\n    let fb{f} = fields[{f}].base;\n    let fs{f} = fields[{f}].stride;"
-        );
-    }
-    // Section 0: launch-invariant.
-    for i in 0..sec[0] {
-        emit_instr(&mut s, tape, i, order, 0);
-    }
-    let _ = writeln!(s, "    for i0 in outer_lo..outer_hi {{");
-    for i in sec[0]..sec[1] {
-        emit_instr(&mut s, tape, i, order, 1);
-    }
-    let _ = writeln!(s, "        for i1 in lo[{0}]..hi[{0}] {{", order[1]);
-    for i in sec[1]..sec[2] {
-        emit_instr(&mut s, tape, i, order, 2);
-    }
-    let _ = writeln!(s, "            for i2 in lo[{0}]..hi[{0}] {{", order[2]);
-    for i in sec[2]..n {
-        emit_instr(&mut s, tape, i, order, 3);
-    }
-    let _ = writeln!(s, "            }}\n        }}\n    }}\n}}\n");
-
-    // Entry point: ABI checks, then serial or outer-slab-threaded dispatch.
-    // Any outer-chunk split is bitwise-neutral: cell semantics are keyed on
-    // absolute indices and stores hit the centre cell along the outer
-    // dimension (enforced by the host before native dispatch).
-    let _ = writeln!(
-        s,
-        "#[no_mangle]\npub unsafe extern \"C\" fn pf_kernel(\n    \
-         fields: *const PfField, n_fields: u64,\n    \
-         params: *const f64, n_params: u64,\n    \
-         lo: *const u64, hi: *const u64,\n    \
-         origin: *const i64, dx: *const f64,\n    \
-         time: f64, timestep: u64, seed: u32,\n    n_threads: u64,\n) -> i32 {{\n    \
-         if n_fields != {n_fields} {{ return 1; }}\n    \
-         if n_params != {n_params} {{ return 2; }}\n    \
-         let fields: &[PfField; {n_fields}] = &*(fields as *const [PfField; {n_fields}]);"
-    );
-    if n_params > 0 {
-        let _ = writeln!(
-            s,
-            "    let params: &[f64; {n_params}] = &*(params as *const [f64; {n_params}]);"
-        );
-    } else {
-        let _ = writeln!(s, "    let params: &[f64; 0] = &[];");
-    }
-    let _ = writeln!(
-        s,
-        "    let lo = [*lo.add(0) as usize, *lo.add(1) as usize, *lo.add(2) as usize];\n    \
-         let hi = [*hi.add(0) as usize, *hi.add(1) as usize, *hi.add(2) as usize];\n    \
-         let origin = [*origin.add(0), *origin.add(1), *origin.add(2)];\n    \
-         let dx = [*dx.add(0), *dx.add(1), *dx.add(2)];\n    \
-         let o_lo = lo[{0}];\n    let o_hi = hi[{0}];\n    \
-         let span = o_hi.saturating_sub(o_lo);\n    \
-         let nt = if n_threads == 0 {{ 1 }} else {{ n_threads as usize }}.min(span.max(1));\n    \
-         if nt <= 1 {{\n        \
-         pf_body(fields, params, lo, hi, o_lo, o_hi, origin, dx, time, timestep, seed);\n    \
-         }} else {{\n        \
-         let chunk = span.div_ceil(nt);\n        \
-         std::thread::scope(|sc| {{\n            \
-         for t in 0..nt {{\n                \
-         let a = o_lo + t * chunk;\n                \
-         let b = (a + chunk).min(o_hi);\n                \
-         if a >= b {{ continue; }}\n                \
-         sc.spawn(move || unsafe {{\n                    \
-         pf_body(fields, params, lo, hi, a, b, origin, dx, time, timestep, seed)\n                \
-         }});\n            \
-         }}\n        \
-         }});\n    \
-         }}\n    0\n}}",
-        order[0]
-    );
-    s
+/// Generated source body: everything but the `pf_meta` export.
+fn emit_body(tape: &Tape) -> String {
+    lower_nest(tape, &RustTarget(tape), None)
 }
 
 /// Remove a file when the guard drops (the transient load link).
@@ -823,9 +790,6 @@ pub fn native_available() -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{run_kernel, ExecMode};
-    use crate::store::FieldStore;
-    use pf_fields::Layout;
     use pf_ir::{generate, GenOptions};
     use pf_stencil::{Assignment, Discretization, StencilKernel};
     use pf_symbolic::{Access, Expr, Field};
@@ -874,57 +838,6 @@ mod tests {
             vec![Assignment::store(Access::center(dst, 0), update)],
         );
         generate(&k, &GenOptions::default())
-    }
-
-    #[test]
-    fn emitted_source_is_deterministic_and_self_described() {
-        let src = Field::new("nat_em_src", 1, 2);
-        let dst = Field::new("nat_em_dst", 1, 2);
-        let tape = diffusion_tape("nat_emit", src, dst);
-        let a = emit_rust(&tape);
-        let b = emit_rust(&tape);
-        assert_eq!(a, b, "emission must be deterministic");
-        assert!(a.contains("pub unsafe extern \"C\" fn pf_kernel"));
-        assert!(a.contains("pub extern \"C\" fn pf_meta"));
-        assert!(a.contains("pf_rand_pm1"), "Philox must be inlined:\n{a}");
-        let meta = source_fingerprint(&tape);
-        assert!(
-            a.contains(&format!("0x{meta:016x}u64")),
-            "meta export must carry the source fingerprint"
-        );
-    }
-
-    #[test]
-    fn native_matches_serial_bitwise_on_a_noisy_diffusion_kernel() {
-        let _g = native_test_lock().lock().unwrap_or_else(|p| p.into_inner());
-        let _scratch = ScratchCache::new("bitwise");
-        let src = Field::new("nat_bw_src", 1, 2);
-        let dst = Field::new("nat_bw_dst", 1, 2);
-        let tape = diffusion_tape("nat_bitwise", src, dst);
-        let run = |mode: ExecMode| {
-            let mut store = FieldStore::new();
-            store
-                .allocate(src, [13, 9, 1], 1, Layout::Fzyx)
-                .fill_with(0, |x, y, _| ((x * 31 + y * 17) % 7) as f64);
-            store.get_mut(src).apply_periodic(0);
-            store.get_mut(src).apply_periodic(1);
-            store.allocate(dst, [13, 9, 1], 1, Layout::Fzyx);
-            let ctx = RunCtx {
-                seed: 7,
-                timestep: 3,
-                origin: [2, -1, 0],
-                ..RunCtx::default()
-            };
-            run_kernel(&tape, &mut store, &[], [13, 9, 1], &ctx, mode);
-            store.take(dst)
-        };
-        let serial = run(ExecMode::Serial);
-        let native = run(ExecMode::Native);
-        assert_eq!(
-            serial.max_abs_diff(&native),
-            0.0,
-            "native codegen must be bitwise identical to the serial interpreter"
-        );
     }
 
     #[test]

@@ -8,15 +8,20 @@
 //! auto-vectorization of the compiler to have full control over the
 //! process."
 //!
-//! The emitter maps every tape instruction onto the AVX-512 (or AVX2/SSE)
-//! intrinsic set: aligned loads for offset-0 x accesses (the arrays are
-//! padded so row starts are aligned — `pf_fields`), unaligned loads
-//! otherwise, `blend` for the branch-free selects, and — when the approx
-//! flags are set — `rsqrt14`/`rcp14` with a Newton refinement step, the
-//! AVX-512 counterpart of the paper's approximate math.
+//! [`SimdTarget`] spells the strip body of the one lowering
+//! ([`crate::lower`]) in the AVX-512 (or AVX2/SSE) intrinsic set: aligned
+//! loads for offset-0 x accesses (the arrays are padded so row starts are
+//! aligned — `pf_fields`), unaligned loads otherwise, `blend` for the
+//! branch-free selects, and — when the approx flags are set — the bare
+//! `rsqrt14`/`rcp14` estimates, the AVX-512 counterpart of the paper's
+//! approximate math. Hoisted sections, the loops around the strip and the
+//! tear-down loop are the scalar C target's.
 
-use pf_ir::{Tape, TapeOp};
-use std::fmt::Write as _;
+use crate::emit::CTarget;
+use crate::lower::{indent, lower_nest, Inner, Target};
+use pf_ir::interp::StoreKey;
+use pf_ir::{BinOp, Tape, TapeOp, UnOp, VReg};
+use pf_symbolic::CmpOp;
 
 /// Supported SIMD instruction sets ("our tool supports the SSE, AVX, and
 /// AVX512 SIMD instruction sets").
@@ -54,294 +59,192 @@ impl SimdIsa {
     }
 }
 
-fn ident(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
+/// The strip body in intrinsics. Per-cell values are vector registers
+/// `v<i>`; a hoisted value is the scalar target's `r<i>`, broadcast on use.
+struct SimdTarget<'a> {
+    c: &'a CTarget<'a>,
+    isa: SimdIsa,
+    /// Instructions below this index are hoisted out of the strip loop.
+    hoisted: usize,
 }
 
-fn index_expr(tape: &Tape, slot: u16, comp: u16, off: [i16; 3]) -> String {
-    let f = ident(&tape.fields[slot as usize].name());
-    format!(
-        "{comp}*s_{f}_c + (ix + {})*s_{f}_x + (iy + {})*s_{f}_y + (iz + {})*s_{f}_z",
-        off[0], off[1], off[2]
-    )
+impl SimdTarget<'_> {
+    /// `<prefix>_<name>_pd(args)`.
+    fn call(&self, name: &str, args: &[&str]) -> String {
+        format!("{}_{name}_pd({})", self.isa.prefix(), args.join(", "))
+    }
+
+    fn set1(&self, scalar: &str) -> String {
+        self.call("set1", &[scalar])
+    }
+
+    /// `(double)(origin_x + ix) + {0, 1, …}`: the cell index along the strip.
+    fn cell_x(&self) -> String {
+        let lanes: Vec<String> = (0..self.isa.lanes())
+            .rev()
+            .map(|l| format!("{l}.0"))
+            .collect();
+        let offsets = self.call("set", &[&lanes.join(", ")]);
+        self.call("add", &[&self.set1("(double)(origin_x + ix)"), &offsets])
+    }
 }
 
-/// Emit the vectorized inner-loop body of `tape` for `isa`.
-///
-/// Returns complete C source: an OpenMP-parallel kernel whose x loop steps
-/// by the vector width with a scalar tear-down loop. Loop-invariant (level
-/// < 3) instructions are emitted as scalars and broadcast on use.
-pub fn emit_c_simd(tape: &Tape, isa: SimdIsa) -> String {
-    let p = isa.prefix();
-    let vt = isa.vec_type();
-    let lanes = isa.lanes();
-    let ap = tape.approx;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "// generated by pf-backend — kernel `{}`, explicit {:?} vectorization",
-        tape.name, isa
-    );
-    let _ = writeln!(out, "#include <immintrin.h>\n#include <math.h>\n");
-
-    // Reuse the scalar signature from the plain C emitter semantics.
-    let mut args: Vec<String> = Vec::new();
-    for f in &tape.fields {
-        let n = ident(&f.name());
-        args.push(format!("double* restrict f_{n}"));
-        args.push(format!(
-            "const long s_{n}_c, const long s_{n}_x, const long s_{n}_y, const long s_{n}_z"
-        ));
+impl Target for SimdTarget<'_> {
+    fn open(&self, pos: usize, _: Inner) -> String {
+        let (ind, lanes, n) = (indent(pos), self.isa.lanes(), self.c.bound(0));
+        format!("{ind}long ix = 0;\n{ind}for (; ix + {lanes} <= {n}; ix += {lanes}) {{\n")
     }
-    for pr in &tape.params {
-        args.push(format!("const double p_{}", ident(pr.name())));
+
+    fn def(&self, i: usize, depth: usize, rhs: &str) -> String {
+        format!(
+            "{}const {} v{i} = {rhs};\n",
+            indent(depth),
+            self.isa.vec_type()
+        )
     }
-    args.push("const long nx, const long ny, const long nz".into());
-    args.push("const long origin_x, const long origin_y, const long origin_z".into());
-    args.push("const double dx_x, const double dx_y, const double dx_z".into());
-    args.push("const double t, const unsigned long timestep, const unsigned seed".into());
-    let _ = writeln!(
-        out,
-        "void kernel_{}_simd(\n        {})\n{{",
-        ident(&tape.name),
-        args.join(",\n        ")
-    );
 
-    let broadcast = |expr: &str| format!("{p}_set1_pd({expr})");
-    let reg = |i: u32| format!("v{i}");
+    fn store(&self, _: usize, depth: usize, (field, comp, off): StoreKey, val: VReg) -> String {
+        let intr = if off[0] == 0 { "store" } else { "storeu" };
+        let to = format!("&{}", self.c.access(field, comp, off, depth));
+        let stmt = self.call(intr, &[&to, &self.arg(val)]);
+        format!("{}{stmt};\n", indent(depth))
+    }
 
-    let _ = writeln!(
-        out,
-        "    #pragma omp parallel for schedule(static)\n    for (long iz = 0; iz < nz + {}; ++iz)\n    for (long iy = 0; iy < ny + {}; ++iy) {{",
-        tape.iter_extent[2], tape.iter_extent[1]
-    );
-    let _ = writeln!(
-        out,
-        "    // vector body: {lanes} cells per iteration, scalar tear-down below"
-    );
-    let _ = writeln!(
-        out,
-        "    long ix = 0;\n    for (; ix + {lanes} <= nx + {}; ix += {lanes}) {{",
-        tape.iter_extent[0]
-    );
+    fn fence(&self, i: usize, depth: usize) -> String {
+        self.c.fence(i, depth)
+    }
 
-    for (i, op) in tape.instrs.iter().enumerate() {
-        let i = i as u32;
-        let rhs = match *op {
-            TapeOp::Const(c) => broadcast(&format!("{:?}", c.0)),
-            TapeOp::Param(s) => broadcast(&format!("p_{}", ident(tape.params[s as usize].name()))),
-            TapeOp::Load { field, comp, off } => {
-                let idx = index_expr(tape, field, comp, off);
-                let fp = format!("f_{}", ident(&tape.fields[field as usize].name()));
-                // Aligned rows: offset-0 x accesses hit aligned addresses
-                // ("thus aligned reads and writes can be issued for all
-                // array accesses that have no offset in the fastest
-                // coordinate").
-                if off[0] == 0 {
-                    format!("{p}_load_pd(&{fp}[{idx}])")
-                } else {
-                    format!("{p}_loadu_pd(&{fp}[{idx}])")
-                }
+    fn leaf(&self, op: &TapeOp, depth: usize) -> String {
+        match *op {
+            // Aligned rows: offset-0 x accesses hit aligned addresses ("thus
+            // aligned reads and writes can be issued for all array accesses
+            // that have no offset in the fastest coordinate").
+            TapeOp::Load { off, .. } => {
+                let intr = if off[0] == 0 { "load" } else { "loadu" };
+                self.call(intr, &[&format!("&{}", self.c.leaf(op, depth))])
             }
-            TapeOp::Coord(d) => {
-                let dd = ["x", "y", "z"][d as usize];
-                if d == 0 {
-                    // x varies across lanes.
-                    format!("{p}_add_pd({p}_set1_pd((origin_x + ix + 0.5)*dx_x), vlane_dx)")
-                } else {
-                    broadcast(&format!("(origin_{dd} + i{dd} + 0.5)*dx_{dd}"))
-                }
+            // Only x varies along the strip.
+            TapeOp::Coord(0) => {
+                let centre = self.call("add", &[&self.cell_x(), &self.set1("0.5")]);
+                self.call("mul", &[&centre, &self.set1("dx_x")])
             }
-            TapeOp::Time => broadcast("t"),
-            TapeOp::CellIdx(d) => {
-                let dd = ["x", "y", "z"][d as usize];
-                if d == 0 {
-                    format!("{p}_add_pd({p}_set1_pd((double)(origin_x + ix)), vlane)")
-                } else {
-                    broadcast(&format!("(double)(origin_{dd} + i{dd})"))
-                }
-            }
-            TapeOp::Rand(lane) => format!("philox_pm1_vec(ix, iy, iz, timestep, seed, {lane})"),
-            TapeOp::Add(a, b) => format!("{p}_add_pd({}, {})", reg(a.0), reg(b.0)),
-            TapeOp::Sub(a, b) => format!("{p}_sub_pd({}, {})", reg(a.0), reg(b.0)),
-            TapeOp::Mul(a, b) => format!("{p}_mul_pd({}, {})", reg(a.0), reg(b.0)),
-            TapeOp::Div(a, b) => {
-                if ap.fast_div && isa == SimdIsa::Avx512 {
-                    // rcp14 + one Newton step — the approximate division.
-                    format!("{p}_mul_pd({}, {p}_rcp14_pd({}))", reg(a.0), reg(b.0))
-                } else {
-                    format!("{p}_div_pd({}, {})", reg(a.0), reg(b.0))
-                }
-            }
-            TapeOp::Neg(a) => format!("{p}_sub_pd({p}_setzero_pd(), {})", reg(a.0)),
-            TapeOp::Sqrt(a) => format!("{p}_sqrt_pd({})", reg(a.0)),
-            TapeOp::RSqrt(a) => {
-                if ap.fast_rsqrt && isa == SimdIsa::Avx512 {
-                    // The paper: "we use for example rsqrt14 intrinsics to
-                    // approximate reciprocal square roots on AVX512".
-                    format!("{p}_rsqrt14_pd({})", reg(a.0))
-                } else {
-                    format!("{p}_div_pd({p}_set1_pd(1.0), {p}_sqrt_pd({}))", reg(a.0))
-                }
-            }
-            TapeOp::Abs(a) => format!("{p}_andnot_pd({p}_set1_pd(-0.0), {})", reg(a.0)),
-            TapeOp::Min(a, b) => format!("{p}_min_pd({}, {})", reg(a.0), reg(b.0)),
-            TapeOp::Max(a, b) => format!("{p}_max_pd({}, {})", reg(a.0), reg(b.0)),
+            TapeOp::CellIdx(0) => self.cell_x(),
+            TapeOp::Rand(lane) => format!(
+                "pf_philox_pm1_vec(origin_x + ix, origin_y + iy, origin_z + iz, timestep, seed, {lane})"
+            ),
+            _ => self.set1(&self.c.leaf(op, depth)),
+        }
+    }
+
+    fn arg(&self, v: VReg) -> String {
+        if (v.0 as usize) < self.hoisted {
+            self.set1(&format!("r{}", v.0))
+        } else {
+            format!("v{}", v.0)
+        }
+    }
+
+    fn un(&self, op: UnOp, a: &str) -> String {
+        let avx512 = self.isa == SimdIsa::Avx512;
+        let zero = self.call("setzero", &[]);
+        match op {
+            UnOp::Neg => self.call("sub", &[&zero, a]),
+            UnOp::Sqrt => self.call("sqrt", &[a]),
+            // The paper: "we use for example rsqrt14 intrinsics to
+            // approximate reciprocal square roots on AVX512".
+            UnOp::RSqrt if avx512 && self.c.tape.approx.fast_rsqrt => self.call("rsqrt14", &[a]),
+            UnOp::RSqrt => self.call("div", &[&self.set1("1.0"), &self.call("sqrt", &[a])]),
+            UnOp::Abs if avx512 => self.call("abs", &[a]),
+            UnOp::Abs => self.call("andnot", &[&self.set1("-0.0"), a]),
             // Transcendentals go through the vendor vector-math library
             // (SVML names, as icc would emit).
-            TapeOp::Exp(a) => format!("{p}_exp_pd({})", reg(a.0)),
-            TapeOp::Ln(a) => format!("{p}_log_pd({})", reg(a.0)),
-            TapeOp::Sin(a) => format!("{p}_sin_pd({})", reg(a.0)),
-            TapeOp::Cos(a) => format!("{p}_cos_pd({})", reg(a.0)),
-            TapeOp::Tanh(a) => format!("{p}_tanh_pd({})", reg(a.0)),
-            TapeOp::Sign(a) => format!("sign_pd_{isa:?}({})", reg(a.0), isa = isa),
-            TapeOp::Floor(a) => match isa {
-                SimdIsa::Avx512 => format!("{p}_roundscale_pd({}, 0x09)", reg(a.0)),
-                _ => format!("{p}_floor_pd({})", reg(a.0)),
-            },
-            TapeOp::Powf(a, b) => format!("{p}_pow_pd({}, {})", reg(a.0), reg(b.0)),
-            TapeOp::CmpSelect { op, l, r, t, f } => {
-                // Branch-free blend — "piecewise-defined functions … can be
-                // efficiently mapped to blend vector instructions".
-                match isa {
-                    SimdIsa::Avx512 => format!(
-                        "{p}_mask_blend_pd({p}_cmp_pd_mask({}, {}, {}), {}, {})",
-                        reg(l.0),
-                        reg(r.0),
-                        cmp_imm(op),
-                        reg(f.0),
-                        reg(t.0)
-                    ),
-                    _ => format!(
-                        "{p}_blendv_pd({}, {}, {p}_cmp_pd({}, {}, {}))",
-                        reg(f.0),
-                        reg(t.0),
-                        reg(l.0),
-                        reg(r.0),
-                        cmp_imm(op)
-                    ),
-                }
+            UnOp::Exp => self.call("exp", &[a]),
+            UnOp::Ln => self.call("log", &[a]),
+            UnOp::Sin => self.call("sin", &[a]),
+            UnOp::Cos => self.call("cos", &[a]),
+            UnOp::Tanh => self.call("tanh", &[a]),
+            // (x > 0 ? 1 : 0) - (x < 0 ? 1 : 0), so sign(±0) = 0.
+            UnOp::Sign => {
+                let one = self.set1("1.0");
+                let pos = self.select(CmpOp::Gt, a, &zero, &one, &zero);
+                let neg = self.select(CmpOp::Lt, a, &zero, &one, &zero);
+                self.call("sub", &[&pos, &neg])
             }
-            TapeOp::Store {
-                field,
-                comp,
-                off,
-                val,
-            } => {
-                let idx = index_expr(tape, field, comp, off);
-                let fp = format!("f_{}", ident(&tape.fields[field as usize].name()));
-                let intr = if off[0] == 0 { "store" } else { "storeu" };
-                let _ = writeln!(out, "        {p}_{intr}_pd(&{fp}[{idx}], {});", reg(val.0));
-                continue;
-            }
-            TapeOp::Fence => {
-                let _ = writeln!(out, "        /* scheduling fence */");
-                continue;
-            }
-        };
-        let _ = writeln!(out, "        const {vt} v{i} = {rhs};");
-    }
-    let _ = writeln!(out, "    }}");
-    let _ = writeln!(
-        out,
-        "    // tear-down loop: remaining {} cells handled scalar\n    for (; ix < nx + {}; ++ix) {{ /* scalar body (see kernel_{}) */ }}",
-        lanes - 1,
-        tape.iter_extent[0],
-        ident(&tape.name)
-    );
-    let _ = writeln!(out, "    }}\n}}");
-    out
-}
-
-fn cmp_imm(op: pf_symbolic::CmpOp) -> &'static str {
-    use pf_symbolic::CmpOp::*;
-    match op {
-        Lt => "_CMP_LT_OQ",
-        Le => "_CMP_LE_OQ",
-        Gt => "_CMP_GT_OQ",
-        Ge => "_CMP_GE_OQ",
-        Eq => "_CMP_EQ_OQ",
-        Ne => "_CMP_NEQ_UQ",
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pf_ir::{generate, GenOptions};
-    use pf_stencil::{Assignment, Discretization, StencilKernel};
-    use pf_symbolic::{Access, Expr, Field};
-
-    fn sample(approx: bool) -> Tape {
-        let src = Field::new("sv_src", 1, 3);
-        let dst = Field::new("sv_dst", 1, 3);
-        let disc = Discretization::isotropic(3, 1.0);
-        let u = Expr::access(Access::center(src, 0));
-        let rhs: Expr = (0..3)
-            .map(|d| Expr::d(Expr::num(0.3) * Expr::d(u.clone(), d), d))
-            .sum::<Expr>()
-            + Expr::rsqrt(u.clone() + 2.0)
-            + Expr::max(u.clone(), Expr::num(0.1))
-            // A piecewise term so the blend path is exercised.
-            + Expr::select(
-                pf_symbolic::Cond {
-                    op: pf_symbolic::CmpOp::Gt,
-                    lhs: u.clone(),
-                    rhs: Expr::num(0.5),
-                },
-                u.clone() * 2.0,
-                Expr::num(0.0),
-            );
-        let update = disc.explicit_euler(Access::center(src, 0), &rhs, 0.01);
-        let k = StencilKernel::new(
-            "sv_heat",
-            vec![Assignment::store(Access::center(dst, 0), update)],
-        );
-        let mut t = generate(&k, &GenOptions::default());
-        if approx {
-            t.approx.fast_rsqrt = true;
+            UnOp::Floor if avx512 => self.call("roundscale", &[a, "0x09"]),
+            UnOp::Floor => self.call("floor", &[a]),
         }
-        t
     }
 
-    #[test]
-    fn avx512_uses_512_bit_ops_and_blends() {
-        let src = emit_c_simd(&sample(false), SimdIsa::Avx512);
-        assert!(src.contains("__m512d"));
-        assert!(src.contains("_mm512_add_pd"));
-        assert!(src.contains("_mm512_mask_blend_pd"), "{src}");
-        assert!(src.contains("ix += 8"));
+    fn bin(&self, op: BinOp, a: &str, b: &str) -> String {
+        match op {
+            BinOp::Add => self.call("add", &[a, b]),
+            BinOp::Sub => self.call("sub", &[a, b]),
+            BinOp::Mul => self.call("mul", &[a, b]),
+            // The approximate division is the bare 14-bit reciprocal
+            // estimate times the numerator, no refinement step.
+            BinOp::Div if self.isa == SimdIsa::Avx512 && self.c.tape.approx.fast_div => {
+                self.call("mul", &[a, &self.call("rcp14", &[b])])
+            }
+            BinOp::Div => self.call("div", &[a, b]),
+            BinOp::Min => self.call("min", &[a, b]),
+            BinOp::Max => self.call("max", &[a, b]),
+            BinOp::Powf => self.call("pow", &[a, b]),
+        }
     }
 
-    #[test]
-    fn avx2_halves_the_width() {
-        let src = emit_c_simd(&sample(false), SimdIsa::Avx2);
-        assert!(src.contains("__m256d"));
-        assert!(src.contains("ix += 4"));
-        assert!(src.contains("_mm256_blendv_pd"));
+    /// Branch-free blend — "piecewise-defined functions … can be
+    /// efficiently mapped to blend vector instructions".
+    fn select(&self, op: CmpOp, l: &str, r: &str, t: &str, f: &str) -> String {
+        let imm = match op {
+            CmpOp::Lt => "_CMP_LT_OQ",
+            CmpOp::Le => "_CMP_LE_OQ",
+            CmpOp::Gt => "_CMP_GT_OQ",
+            CmpOp::Ge => "_CMP_GE_OQ",
+            CmpOp::Eq => "_CMP_EQ_OQ",
+            CmpOp::Ne => "_CMP_NEQ_UQ",
+        };
+        let p = self.isa.prefix();
+        match self.isa {
+            SimdIsa::Avx512 => {
+                format!("{p}_mask_blend_pd({p}_cmp_pd_mask({l}, {r}, {imm}), {f}, {t})")
+            }
+            _ => format!("{p}_blendv_pd({f}, {t}, {p}_cmp_pd({l}, {r}, {imm}))"),
+        }
     }
+}
 
-    #[test]
-    fn aligned_loads_only_for_zero_x_offset() {
-        let src = emit_c_simd(&sample(false), SimdIsa::Avx512);
-        // The ±x neighbours must use unaligned loads; the centre aligned.
-        assert!(src.contains("_mm512_loadu_pd"));
-        assert!(src.contains("_mm512_load_pd"));
-    }
-
-    #[test]
-    fn approx_rsqrt_emits_rsqrt14() {
-        let fast = emit_c_simd(&sample(true), SimdIsa::Avx512);
-        assert!(fast.contains("_mm512_rsqrt14_pd"), "{fast}");
-        let exact = emit_c_simd(&sample(false), SimdIsa::Avx512);
-        assert!(!exact.contains("rsqrt14"));
-    }
-
-    #[test]
-    fn teardown_loop_present() {
-        let src = emit_c_simd(&sample(false), SimdIsa::Avx512);
-        assert!(src.contains("tear-down"));
-    }
+/// Emit `tape` as an explicitly vectorized OpenMP C kernel for `isa`.
+///
+/// The x loop steps by the vector width over the intrinsics body and
+/// finishes the row in a scalar tear-down loop; instructions hoisted out of
+/// it (level < 3) are scalars at their loop depth, broadcast on use. Strips
+/// run along the unit-stride x dimension, so a tape whose innermost loop is
+/// not x gets the scalar nest.
+pub fn emit_c_simd(tape: &Tape, isa: SimdIsa) -> String {
+    let (vt, p, lanes) = (isa.vec_type(), isa.prefix(), isa.lanes());
+    let prelude = format!(
+        "// generated by pf-backend — kernel `{}`, explicit {isa:?} vectorization\n\
+         // exp/log/sin/cos/tanh/pow are SVML names (the paper targets icc);\n\
+         // gcc and clang do not declare them.\n\
+         #include <immintrin.h>\n#include <math.h>\n#include \"philox.h\"\n\n\
+         static inline {vt} pf_philox_pm1_vec(long x, long y, long z,\n        \
+         unsigned long timestep, unsigned seed, int lane)\n{{\n    \
+         double v[{lanes}];\n    \
+         for (int l = 0; l < {lanes}; ++l) v[l] = philox_pm1(x + l, y, z, timestep, seed, lane);\n    \
+         return {p}_loadu_pd(v);\n}}\n\n",
+        tape.name
+    );
+    let c = CTarget {
+        tape,
+        prelude,
+        suffix: "_simd",
+        cuda: None,
+    };
+    let strip = SimdTarget {
+        c: &c,
+        isa,
+        hoisted: tape.level_sections()[2],
+    };
+    let strip = (tape.loop_order[2] == 0).then_some(&strip as &dyn Target);
+    lower_nest(tape, &c, strip)
 }

@@ -23,10 +23,9 @@
 //! buffers are created once per worker (`for_each_init`) instead of once
 //! per outer index.
 
-use crate::exec::{f32_div, f32_rsqrt, f32_sqrt, Plan, RawSlice, RunCtx, Step};
+use crate::exec::{Cursor, Plan, RawSlice, RunCtx, Step};
 use pf_grid::IterRegion;
-use pf_ir::{Tape, TapeOp};
-use pf_rng::CellRng;
+use pf_ir::{Arith, Tape, TapeOp};
 use rayon::prelude::*;
 
 /// Strip width W: f64 lanes of the widest supported ISA (AVX-512).
@@ -64,40 +63,23 @@ pub(crate) fn run_vectorized(
     (0..n_slabs).into_par_iter().for_each_init(
         || vec![0.0f64; n_regs * W],
         |regs, si| {
-            let cur = StripCursor {
-                tape,
-                plan,
-                params,
-                ctx,
-                region,
-                rng: CellRng::new(ctx.seed),
-            };
+            let cur = Cursor::new(tape, plan, params, ctx, region);
             // Sweep-invariant section, once per slab.
             cur.exec_hoisted(regs, read_data, 0, plan.sec[0], [0; 3]);
             let lo = outer_lo + si * slab;
             let hi = (lo + slab).min(outer_lo + outer_n);
             for o in lo..hi {
-                cur.run_outer(regs, read_data, raw, o);
+                cur.run_outer_strips(regs, read_data, raw, o);
             }
         },
     );
 }
 
-/// Loop driver holding the per-launch constants (strip-engine analogue of
-/// the scalar `CellCursor`).
-struct StripCursor<'a> {
-    tape: &'a Tape,
-    plan: &'a Plan,
-    params: &'a [f64],
-    ctx: &'a RunCtx,
-    region: IterRegion,
-    rng: CellRng,
-}
-
-impl StripCursor<'_> {
+/// The strip engine's half of the loop driver.
+impl Cursor<'_> {
     /// One outer-loop iteration: hoisted sections at their depths, then the
     /// inner x loop in strips of W plus a scalar remainder.
-    fn run_outer(&self, regs: &mut [f64], read_data: &[&[f64]], raw: &[RawSlice], o: usize) {
+    fn run_outer_strips(&self, regs: &mut [f64], read_data: &[&[f64]], raw: &[RawSlice], o: usize) {
         let order = self.tape.loop_order;
         let [s0, s1, s2, s3] = self.plan.sec;
         let mut idx3 = [0usize; 3];
@@ -123,124 +105,6 @@ impl StripCursor<'_> {
         }
     }
 
-    /// Evaluate one step scalar-wise, reading arguments from lane 0.
-    /// Returns the value plus the (array, index) target if it is a store.
-    #[inline]
-    fn eval_scalar(
-        &self,
-        regs: &[f64],
-        read_data: &[&[f64]],
-        i: usize,
-        idx3: [usize; 3],
-    ) -> (f64, Option<(usize, usize)>) {
-        let ctx = self.ctx;
-        let approx = self.tape.approx;
-        let r = |a: pf_ir::VReg| regs[a.0 as usize * W];
-        match self.plan.steps[i] {
-            Step::Op(op) => {
-                let v = match op {
-                    TapeOp::Const(c) => c.0,
-                    TapeOp::Param(p) => self.params[p as usize],
-                    TapeOp::Coord(d) => {
-                        let dd = d as usize;
-                        (ctx.origin[dd] as f64 + idx3[dd] as f64 + 0.5) * ctx.dx[dd]
-                    }
-                    TapeOp::Time => ctx.time,
-                    TapeOp::CellIdx(d) => {
-                        let dd = d as usize;
-                        ctx.origin[dd] as f64 + idx3[dd] as f64
-                    }
-                    TapeOp::Rand(lane) => self.rng.uniform_pm1(
-                        [
-                            ctx.origin[0] + idx3[0] as i64,
-                            ctx.origin[1] + idx3[1] as i64,
-                            ctx.origin[2] + idx3[2] as i64,
-                        ],
-                        ctx.timestep,
-                        lane as u32,
-                    ),
-                    TapeOp::Add(a, b) => r(a) + r(b),
-                    TapeOp::Sub(a, b) => r(a) - r(b),
-                    TapeOp::Mul(a, b) => r(a) * r(b),
-                    TapeOp::Div(a, b) => {
-                        if approx.fast_div {
-                            f32_div(r(a), r(b))
-                        } else {
-                            r(a) / r(b)
-                        }
-                    }
-                    TapeOp::Neg(a) => -r(a),
-                    TapeOp::Sqrt(a) => {
-                        if approx.fast_sqrt {
-                            f32_sqrt(r(a))
-                        } else {
-                            r(a).sqrt()
-                        }
-                    }
-                    TapeOp::RSqrt(a) => {
-                        if approx.fast_rsqrt {
-                            f32_rsqrt(r(a))
-                        } else {
-                            1.0 / r(a).sqrt()
-                        }
-                    }
-                    TapeOp::Abs(a) => r(a).abs(),
-                    TapeOp::Min(a, b) => r(a).min(r(b)),
-                    TapeOp::Max(a, b) => r(a).max(r(b)),
-                    TapeOp::Exp(a) => r(a).exp(),
-                    TapeOp::Ln(a) => r(a).ln(),
-                    TapeOp::Sin(a) => r(a).sin(),
-                    TapeOp::Cos(a) => r(a).cos(),
-                    TapeOp::Tanh(a) => r(a).tanh(),
-                    TapeOp::Sign(a) => {
-                        let x = r(a);
-                        if x > 0.0 {
-                            1.0
-                        } else if x < 0.0 {
-                            -1.0
-                        } else {
-                            0.0
-                        }
-                    }
-                    TapeOp::Floor(a) => r(a).floor(),
-                    TapeOp::Powf(a, b) => r(a).powf(r(b)),
-                    TapeOp::CmpSelect { op, l, r: rr, t, f } => {
-                        if op.eval(r(l), r(rr)) {
-                            r(t)
-                        } else {
-                            r(f)
-                        }
-                    }
-                    TapeOp::Fence => 0.0,
-                    TapeOp::Load { .. } | TapeOp::Store { .. } => {
-                        unreachable!("resolved in plan")
-                    }
-                };
-                (v, None)
-            }
-            Step::Load { arr, delta } => {
-                let a = arr as usize;
-                let s = self.plan.read_strides[a];
-                let idx = self.plan.read_base[a]
-                    + idx3[0] as isize * s[0]
-                    + idx3[1] as isize * s[1]
-                    + idx3[2] as isize * s[2]
-                    + delta;
-                (read_data[a][idx as usize], None)
-            }
-            Step::Store { arr, delta, val } => {
-                let a = arr as usize;
-                let s = self.plan.write_strides[a];
-                let idx = self.plan.write_base[a]
-                    + idx3[0] as isize * s[0]
-                    + idx3[1] as isize * s[1]
-                    + idx3[2] as isize * s[2]
-                    + delta;
-                (regs[val as usize * W], Some((a, idx as usize)))
-            }
-        }
-    }
-
     /// Hoisted (loop-invariant) section: evaluate scalar, broadcast into
     /// all W lanes so per-cell instructions can read any argument lane-wise.
     fn exec_hoisted(
@@ -252,7 +116,7 @@ impl StripCursor<'_> {
         idx3: [usize; 3],
     ) {
         for i in from..to {
-            let (v, store) = self.eval_scalar(regs, read_data, i, idx3);
+            let (v, store) = self.eval::<W>(regs, read_data, i, idx3);
             debug_assert!(
                 store.is_none(),
                 "stores are per-cell (level 3) by construction"
@@ -273,7 +137,7 @@ impl StripCursor<'_> {
         idx3: [usize; 3],
     ) {
         for i in from..to {
-            let (v, store) = self.eval_scalar(regs, read_data, i, idx3);
+            let (v, store) = self.eval::<W>(regs, read_data, i, idx3);
             if let Some((a, idx)) = store {
                 // SAFETY: index in bounds by plan construction; remainder
                 // cells belong to exactly one slab (disjointness is the
@@ -282,6 +146,30 @@ impl StripCursor<'_> {
             }
             regs[i * W] = v;
         }
+    }
+
+    /// A position-dependent op over one strip: lanes `0..lanes` are the
+    /// scalar evaluator's values at x + l (Philox is stateless per cell, so
+    /// strip noise is bitwise the serial noise), the rest repeat lane 0.
+    /// Kept out of line: per-cell tapes hold a handful of these ops, and
+    /// inlining the evaluator into `exec_strip` cost the arithmetic
+    /// dispatch 7 % on the P1 kernels.
+    #[inline(never)]
+    fn strip_leaf(
+        &self,
+        dst: &mut [f64; W],
+        prev: &[f64],
+        read_data: &[&[f64]],
+        i: usize,
+        idx3: [usize; 3],
+        lanes: usize,
+    ) {
+        for (l, d) in dst.iter_mut().enumerate().take(lanes) {
+            let at = [idx3[0] + l, idx3[1], idx3[2]];
+            *d = self.eval::<W>(prev, read_data, i, at).0;
+        }
+        let first = dst[0];
+        dst[lanes..].fill(first);
     }
 
     /// The vector body: one full strip of W cells at `idx3` (x = idx3[0] +
@@ -296,24 +184,21 @@ impl StripCursor<'_> {
         to: usize,
         idx3: [usize; 3],
     ) {
-        let ctx = self.ctx;
         let approx = self.tape.approx;
         for i in from..to {
             // SSA: every argument of instruction i is defined before i, so
             // splitting at i*W gives disjoint arg (shared) / dst (mut)
             // views into the flat SoA buffer.
             let (prev, rest) = regs.split_at_mut(i * W);
-            let dst = &mut rest[..W];
-            let arg = |a: pf_ir::VReg| -> &[f64] { &prev[a.0 as usize * W..][..W] };
+            let dst: &mut [f64; W] = (&mut rest[..W]).try_into().expect("W lanes");
+            let arg = |a: pf_ir::VReg| -> &[f64; W] {
+                prev[a.0 as usize * W..][..W].try_into().expect("W lanes")
+            };
             match self.plan.steps[i] {
                 Step::Load { arr, delta } => {
                     let a = arr as usize;
                     let s = self.plan.read_strides[a];
-                    let idx = (self.plan.read_base[a]
-                        + idx3[0] as isize * s[0]
-                        + idx3[1] as isize * s[1]
-                        + idx3[2] as isize * s[2]
-                        + delta) as usize;
+                    let idx = Self::index(self.plan.read_base[a], s, idx3, delta);
                     if s[0] == 1 {
                         dst.copy_from_slice(&read_data[a][idx..idx + W]);
                     } else {
@@ -325,11 +210,7 @@ impl StripCursor<'_> {
                 Step::Store { arr, delta, val } => {
                     let a = arr as usize;
                     let s = self.plan.write_strides[a];
-                    let idx = (self.plan.write_base[a]
-                        + idx3[0] as isize * s[0]
-                        + idx3[1] as isize * s[1]
-                        + idx3[2] as isize * s[2]
-                        + delta) as usize;
+                    let idx = Self::index(self.plan.write_base[a], s, idx3, delta);
                     let v = arg(pf_ir::VReg(val));
                     // SAFETY: distinct slabs write disjoint outer indices
                     // (centre stores along the outer loop, checked at
@@ -345,187 +226,34 @@ impl StripCursor<'_> {
                 }
                 Step::Op(op) => match op {
                     TapeOp::Const(c) => dst.fill(c.0),
-                    TapeOp::Param(p) => dst.fill(self.params[p as usize]),
-                    TapeOp::Time => dst.fill(ctx.time),
-                    TapeOp::Coord(d) => {
-                        let dd = d as usize;
-                        if dd == 0 {
-                            for (l, v) in dst.iter_mut().enumerate() {
-                                *v =
-                                    (ctx.origin[0] as f64 + (idx3[0] + l) as f64 + 0.5) * ctx.dx[0];
-                            }
-                        } else {
-                            dst.fill((ctx.origin[dd] as f64 + idx3[dd] as f64 + 0.5) * ctx.dx[dd]);
-                        }
-                    }
-                    TapeOp::CellIdx(d) => {
-                        let dd = d as usize;
-                        if dd == 0 {
-                            for (l, v) in dst.iter_mut().enumerate() {
-                                *v = ctx.origin[0] as f64 + (idx3[0] + l) as f64;
-                            }
-                        } else {
-                            dst.fill(ctx.origin[dd] as f64 + idx3[dd] as f64);
-                        }
-                    }
-                    TapeOp::Rand(lane) => {
-                        // Philox is stateless per cell: lane l of the strip
-                        // is exactly the value serial execution produces at
-                        // x + l, so vectorized noise is bitwise identical.
-                        for (l, v) in dst.iter_mut().enumerate() {
-                            *v = self.rng.uniform_pm1(
-                                [
-                                    ctx.origin[0] + (idx3[0] + l) as i64,
-                                    ctx.origin[1] + idx3[1] as i64,
-                                    ctx.origin[2] + idx3[2] as i64,
-                                ],
-                                ctx.timestep,
-                                lane as u32,
-                            );
-                        }
-                    }
-                    TapeOp::Add(a, b) => {
-                        let (a, b) = (arg(a), arg(b));
-                        for l in 0..W {
-                            dst[l] = a[l] + b[l];
-                        }
-                    }
-                    TapeOp::Sub(a, b) => {
-                        let (a, b) = (arg(a), arg(b));
-                        for l in 0..W {
-                            dst[l] = a[l] - b[l];
-                        }
-                    }
-                    TapeOp::Mul(a, b) => {
-                        let (a, b) = (arg(a), arg(b));
-                        for l in 0..W {
-                            dst[l] = a[l] * b[l];
-                        }
-                    }
-                    TapeOp::Div(a, b) => {
-                        let (a, b) = (arg(a), arg(b));
-                        if approx.fast_div {
-                            for l in 0..W {
-                                dst[l] = f32_div(a[l], b[l]);
-                            }
-                        } else {
-                            for l in 0..W {
-                                dst[l] = a[l] / b[l];
-                            }
-                        }
-                    }
-                    TapeOp::Neg(a) => {
-                        let a = arg(a);
-                        for l in 0..W {
-                            dst[l] = -a[l];
-                        }
-                    }
-                    TapeOp::Sqrt(a) => {
-                        let a = arg(a);
-                        if approx.fast_sqrt {
-                            for l in 0..W {
-                                dst[l] = f32_sqrt(a[l]);
-                            }
-                        } else {
-                            for l in 0..W {
-                                dst[l] = a[l].sqrt();
-                            }
-                        }
-                    }
-                    TapeOp::RSqrt(a) => {
-                        let a = arg(a);
-                        if approx.fast_rsqrt {
-                            for l in 0..W {
-                                dst[l] = f32_rsqrt(a[l]);
-                            }
-                        } else {
-                            for l in 0..W {
-                                dst[l] = 1.0 / a[l].sqrt();
-                            }
-                        }
-                    }
-                    TapeOp::Abs(a) => {
-                        let a = arg(a);
-                        for l in 0..W {
-                            dst[l] = a[l].abs();
-                        }
-                    }
-                    TapeOp::Min(a, b) => {
-                        let (a, b) = (arg(a), arg(b));
-                        for l in 0..W {
-                            dst[l] = a[l].min(b[l]);
-                        }
-                    }
-                    TapeOp::Max(a, b) => {
-                        let (a, b) = (arg(a), arg(b));
-                        for l in 0..W {
-                            dst[l] = a[l].max(b[l]);
-                        }
-                    }
-                    TapeOp::Exp(a) => {
-                        let a = arg(a);
-                        for l in 0..W {
-                            dst[l] = a[l].exp();
-                        }
-                    }
-                    TapeOp::Ln(a) => {
-                        let a = arg(a);
-                        for l in 0..W {
-                            dst[l] = a[l].ln();
-                        }
-                    }
-                    TapeOp::Sin(a) => {
-                        let a = arg(a);
-                        for l in 0..W {
-                            dst[l] = a[l].sin();
-                        }
-                    }
-                    TapeOp::Cos(a) => {
-                        let a = arg(a);
-                        for l in 0..W {
-                            dst[l] = a[l].cos();
-                        }
-                    }
-                    TapeOp::Tanh(a) => {
-                        let a = arg(a);
-                        for l in 0..W {
-                            dst[l] = a[l].tanh();
-                        }
-                    }
-                    TapeOp::Sign(a) => {
-                        let a = arg(a);
-                        for l in 0..W {
-                            dst[l] = if a[l] > 0.0 {
-                                1.0
-                            } else if a[l] < 0.0 {
-                                -1.0
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                    TapeOp::Floor(a) => {
-                        let a = arg(a);
-                        for l in 0..W {
-                            dst[l] = a[l].floor();
-                        }
-                    }
-                    TapeOp::Powf(a, b) => {
-                        let (a, b) = (arg(a), arg(b));
-                        for l in 0..W {
-                            dst[l] = a[l].powf(b[l]);
-                        }
-                    }
+                    TapeOp::Fence => dst.fill(0.0),
                     TapeOp::CmpSelect { op, l, r, t, f } => {
                         let (lv, rv, tv, fv) = (arg(l), arg(r), arg(t), arg(f));
                         for i in 0..W {
                             dst[i] = if op.eval(lv[i], rv[i]) { tv[i] } else { fv[i] };
                         }
                     }
-                    TapeOp::Fence => dst.fill(0.0),
+                    // Only x varies along the strip.
+                    TapeOp::Param(_)
+                    | TapeOp::Time
+                    | TapeOp::Coord(_)
+                    | TapeOp::CellIdx(_)
+                    | TapeOp::Rand(_) => {
+                        let lanes = match op {
+                            TapeOp::Coord(0) | TapeOp::CellIdx(0) | TapeOp::Rand(_) => W,
+                            _ => 1,
+                        };
+                        self.strip_leaf(dst, prev, read_data, i, idx3, lanes);
+                    }
                     TapeOp::Load { .. } | TapeOp::Store { .. } => {
                         unreachable!("resolved in plan")
                     }
+                    // One dispatch per instruction per strip: the lane loop
+                    // of each arithmetic op comes from the pf-ir table.
+                    _ => match op.arith().expect("every other op is arithmetic") {
+                        Arith::Un(o, a) => o.eval_lanes(dst, arg(a), approx),
+                        Arith::Bin(o, a, b) => o.eval_lanes(dst, arg(a), arg(b), approx),
+                    },
                 },
             }
         }

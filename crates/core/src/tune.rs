@@ -1043,10 +1043,6 @@ impl GpuScheduleChoice {
     }
 }
 
-fn levels_monotone(tape: &Tape) -> bool {
-    tape.levels.windows(2).all(|w| w[0] <= w[1])
-}
-
 /// Price the beam-search register-pressure reschedules against the
 /// occupancy payoff and adopt one only when the model says it wins.
 ///
@@ -1069,7 +1065,7 @@ pub fn tune_gpu_schedule(
             ns_per_cell: m.ns_per_cell,
             occupancy: m.occupancy,
             regs_per_thread: m.regs.allocated,
-            licm_lost: !levels_monotone(t),
+            licm_lost: !t.levels_monotone(),
         }
     };
     let mut tapes: Vec<(Tape, GpuCandidate)> = vec![(tape.clone(), price("identity", tape))];

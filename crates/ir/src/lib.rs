@@ -32,7 +32,7 @@ pub use pipeline::{generate, optimize_stencil, GenOptions};
 pub use schedule::{
     insert_fences, liveness, rematerialize, schedule_min_live, simulate_compiler_order, Liveness,
 };
-pub use tape::{ApproxOptions, Tape, TapeBuilder, TapeOp, VReg, CF};
+pub use tape::{ApproxOptions, Arith, BinOp, Tape, TapeBuilder, TapeOp, UnOp, VReg, CF};
 pub use verify::{
     run_verifier, set_verifier, set_verify_enabled, verify_enabled, TapeVerifier, VerifyStage,
 };

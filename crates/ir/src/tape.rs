@@ -98,65 +98,156 @@ pub enum TapeOp {
     Fence,
 }
 
+/// The arithmetic ops: an op with one or two register operands and a value
+/// that depends on nothing else. This table is the one place that knows
+/// them — each row is the `TapeOp` variant of the same name and its f64
+/// meaning; `ap` is the tape's [`ApproxOptions`] (the f32 round-trips stand
+/// in for `rsqrt14`/`fdividef`, §3.5). Every engine evaluates through
+/// [`UnOp::eval`]/[`BinOp::eval`] and every emitter spells a `UnOp`/`BinOp`;
+/// only [`crate::interp_cell`], the reference they are tested against, and
+/// pf-analyze's interval domain keep their own.
+macro_rules! arith_ops {
+    (unary |$x:ident, $uap:ident| { $($u:ident => $ue:expr,)* }
+     binary |$a:ident, $b:ident, $bap:ident| { $($bi:ident => $be:expr,)* }) => {
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum UnOp { $($u),* }
+
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum BinOp { $($bi),* }
+
+        impl UnOp {
+            pub const ALL: &'static [UnOp] = &[$(UnOp::$u),*];
+
+            #[inline(always)]
+            pub fn eval(self, $x: f64, $uap: ApproxOptions) -> f64 {
+                match self { $(UnOp::$u => $ue),* }
+            }
+
+            /// `dst[l] = self.eval(x[l])`, dispatched once for all lanes.
+            #[inline(always)]
+            pub fn eval_lanes<const N: usize>(
+                self, dst: &mut [f64; N], x: &[f64; N], ap: ApproxOptions,
+            ) {
+                match self {
+                    $(UnOp::$u => for l in 0..N { dst[l] = UnOp::$u.eval(x[l], ap) }),*
+                }
+            }
+        }
+
+        impl BinOp {
+            pub const ALL: &'static [BinOp] = &[$(BinOp::$bi),*];
+
+            #[inline(always)]
+            pub fn eval(self, $a: f64, $b: f64, $bap: ApproxOptions) -> f64 {
+                match self { $(BinOp::$bi => $be),* }
+            }
+
+            /// `dst[l] = self.eval(a[l], b[l])`, dispatched once for all lanes.
+            #[inline(always)]
+            pub fn eval_lanes<const N: usize>(
+                self, dst: &mut [f64; N], a: &[f64; N], b: &[f64; N], ap: ApproxOptions,
+            ) {
+                match self {
+                    $(BinOp::$bi => for l in 0..N { dst[l] = BinOp::$bi.eval(a[l], b[l], ap) }),*
+                }
+            }
+        }
+
+        impl TapeOp {
+            /// This instruction as an arithmetic op, if it is one.
+            #[inline(always)]
+            pub fn arith(&self) -> Option<Arith> {
+                match *self {
+                    $(TapeOp::$u(a) => Some(Arith::Un(UnOp::$u, a)),)*
+                    $(TapeOp::$bi(a, b) => Some(Arith::Bin(BinOp::$bi, a, b)),)*
+                    _ => None,
+                }
+            }
+        }
+
+        impl From<Arith> for TapeOp {
+            fn from(op: Arith) -> TapeOp {
+                match op {
+                    $(Arith::Un(UnOp::$u, a) => TapeOp::$u(a),)*
+                    $(Arith::Bin(BinOp::$bi, a, b) => TapeOp::$bi(a, b),)*
+                }
+            }
+        }
+    };
+}
+
+arith_ops! {
+    unary |x, ap| {
+        Neg => -x,
+        Sqrt => if ap.fast_sqrt { (x as f32).sqrt() as f64 } else { x.sqrt() },
+        RSqrt => if ap.fast_rsqrt { (1.0 / (x as f32).sqrt()) as f64 } else { 1.0 / x.sqrt() },
+        Abs => x.abs(),
+        Exp => x.exp(),
+        Ln => x.ln(),
+        Sin => x.sin(),
+        Cos => x.cos(),
+        Tanh => x.tanh(),
+        Sign => if x > 0.0 { 1.0 } else if x < 0.0 { -1.0 } else { 0.0 },
+        Floor => x.floor(),
+    }
+    binary |a, b, ap| {
+        Add => a + b,
+        Sub => a - b,
+        Mul => a * b,
+        Div => if ap.fast_div { (a as f32 / b as f32) as f64 } else { a / b },
+        Min => a.min(b),
+        Max => a.max(b),
+        Powf => a.powf(b),
+    }
+}
+
+/// An arithmetic instruction split into its op and its operands.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arith {
+    Un(UnOp, VReg),
+    Bin(BinOp, VReg, VReg),
+}
+
 impl TapeOp {
     /// Registers read by this instruction.
     pub fn args(&self) -> Vec<VReg> {
-        use TapeOp::*;
         match *self {
-            Add(a, b) | Sub(a, b) | Mul(a, b) | Div(a, b) | Min(a, b) | Max(a, b) | Powf(a, b) => {
-                vec![a, b]
-            }
-            Neg(a) | Sqrt(a) | RSqrt(a) | Abs(a) | Exp(a) | Ln(a) | Sin(a) | Cos(a) | Tanh(a)
-            | Sign(a) | Floor(a) => vec![a],
-            CmpSelect { l, r, t, f, .. } => vec![l, r, t, f],
-            Store { val, .. } => vec![val],
-            Const(_) | Param(_) | Load { .. } | Coord(_) | Time | CellIdx(_) | Rand(_) | Fence => {
-                vec![]
-            }
+            TapeOp::CmpSelect { l, r, t, f, .. } => vec![l, r, t, f],
+            TapeOp::Store { val, .. } => vec![val],
+            _ => match self.arith() {
+                Some(Arith::Un(_, a)) => vec![a],
+                Some(Arith::Bin(_, a, b)) => vec![a, b],
+                None => vec![],
+            },
         }
     }
 
     /// Same instruction with its register arguments remapped.
     pub fn map_args(&self, m: &mut impl FnMut(VReg) -> VReg) -> TapeOp {
-        use TapeOp::*;
         match *self {
-            Add(a, b) => Add(m(a), m(b)),
-            Sub(a, b) => Sub(m(a), m(b)),
-            Mul(a, b) => Mul(m(a), m(b)),
-            Div(a, b) => Div(m(a), m(b)),
-            Min(a, b) => Min(m(a), m(b)),
-            Max(a, b) => Max(m(a), m(b)),
-            Powf(a, b) => Powf(m(a), m(b)),
-            Neg(a) => Neg(m(a)),
-            Sqrt(a) => Sqrt(m(a)),
-            RSqrt(a) => RSqrt(m(a)),
-            Abs(a) => Abs(m(a)),
-            Exp(a) => Exp(m(a)),
-            Ln(a) => Ln(m(a)),
-            Sin(a) => Sin(m(a)),
-            Cos(a) => Cos(m(a)),
-            Tanh(a) => Tanh(m(a)),
-            Sign(a) => Sign(m(a)),
-            Floor(a) => Floor(m(a)),
-            CmpSelect { op, l, r, t, f } => CmpSelect {
+            TapeOp::CmpSelect { op, l, r, t, f } => TapeOp::CmpSelect {
                 op,
                 l: m(l),
                 r: m(r),
                 t: m(t),
                 f: m(f),
             },
-            Store {
+            TapeOp::Store {
                 field,
                 comp,
                 off,
                 val,
-            } => Store {
+            } => TapeOp::Store {
                 field,
                 comp,
                 off,
                 val: m(val),
             },
-            other => other,
+            other => match other.arith() {
+                Some(Arith::Un(o, a)) => Arith::Un(o, m(a)).into(),
+                Some(Arith::Bin(o, a, b)) => Arith::Bin(o, m(a), m(b)).into(),
+                None => other,
+            },
         }
     }
 
@@ -246,6 +337,29 @@ impl Tape {
         self.loop_order.hash(&mut h);
         self.approx.hash(&mut h);
         h.finish()
+    }
+
+    /// Are the LICM levels sorted? The levels pass leaves them so; a
+    /// GPU-oriented reschedule may not, and then nothing can be hoisted.
+    pub fn levels_monotone(&self) -> bool {
+        self.levels.windows(2).all(|w| w[0] <= w[1])
+    }
+
+    /// Ends of the hoisted level sections: `instrs[..s[0]]` is invariant
+    /// over the launch, `[s[0]..s[1]]` depends on the outermost loop only,
+    /// `[s[1]..s[2]]` on the outer two, and `[s[2]..]` runs per cell. A tape
+    /// whose levels are not monotone runs everything per cell (always
+    /// correct), so all three are 0.
+    pub fn level_sections(&self) -> [usize; 3] {
+        if !self.levels_monotone() {
+            return [0; 3];
+        }
+        [0, 1, 2].map(|lvl| {
+            self.levels
+                .iter()
+                .position(|&l| l > lvl)
+                .unwrap_or(self.instrs.len())
+        })
     }
 
     /// Declared value range of loads from field slot `slot`, if any.

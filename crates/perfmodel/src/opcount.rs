@@ -10,7 +10,7 @@
 //! the per-cell budget — precisely how LICM of the analytic temperature
 //! reduces the reported FLOP counts in the paper.
 
-use pf_ir::{Tape, TapeOp};
+use pf_ir::{Arith, BinOp, Tape, TapeOp, UnOp};
 
 /// Per-cell operation counts of a kernel.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -74,34 +74,31 @@ pub fn census(tape: &Tape, scope: CountScope) -> OpCensus {
         if scope == CountScope::PerCell && *tape.levels.get(i).unwrap_or(&3) < 3 {
             continue;
         }
-        match op {
-            TapeOp::Load { .. } => c.loads += 1,
-            TapeOp::Store { .. } => c.stores += 1,
-            TapeOp::Add(_, _) | TapeOp::Sub(_, _) | TapeOp::Neg(_) => c.adds += 1,
-            TapeOp::Mul(_, _) => c.muls += 1,
-            TapeOp::Div(_, _) => c.divs += 1,
-            TapeOp::Sqrt(_) => c.sqrts += 1,
-            TapeOp::RSqrt(_) => c.rsqrts += 1,
-            TapeOp::Exp(_)
-            | TapeOp::Ln(_)
-            | TapeOp::Sin(_)
-            | TapeOp::Cos(_)
-            | TapeOp::Tanh(_)
-            | TapeOp::Powf(_, _) => c.transcendental += 1,
-            TapeOp::Abs(_)
-            | TapeOp::Min(_, _)
-            | TapeOp::Max(_, _)
-            | TapeOp::Sign(_)
-            | TapeOp::Floor(_)
-            | TapeOp::CmpSelect { .. } => c.logic += 1,
-            TapeOp::Rand(_) => c.rng += 1,
-            TapeOp::Const(_)
-            | TapeOp::Param(_)
-            | TapeOp::Coord(_)
-            | TapeOp::Time
-            | TapeOp::CellIdx(_)
-            | TapeOp::Fence => {}
-        }
+        let class = match op.arith() {
+            Some(Arith::Un(o, _)) => match o {
+                UnOp::Neg => &mut c.adds,
+                UnOp::Sqrt => &mut c.sqrts,
+                UnOp::RSqrt => &mut c.rsqrts,
+                UnOp::Exp | UnOp::Ln | UnOp::Sin | UnOp::Cos | UnOp::Tanh => &mut c.transcendental,
+                UnOp::Abs | UnOp::Sign | UnOp::Floor => &mut c.logic,
+            },
+            Some(Arith::Bin(o, ..)) => match o {
+                BinOp::Add | BinOp::Sub => &mut c.adds,
+                BinOp::Mul => &mut c.muls,
+                BinOp::Div => &mut c.divs,
+                BinOp::Powf => &mut c.transcendental,
+                BinOp::Min | BinOp::Max => &mut c.logic,
+            },
+            None => match op {
+                TapeOp::Load { .. } => &mut c.loads,
+                TapeOp::Store { .. } => &mut c.stores,
+                TapeOp::CmpSelect { .. } => &mut c.logic,
+                TapeOp::Rand(_) => &mut c.rng,
+                // Const, Param, Coord, Time, CellIdx, Fence cost nothing.
+                _ => continue,
+            },
+        };
+        *class += 1;
     }
     c
 }

@@ -31,6 +31,15 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== emitted C through the host C compiler =="
+# tests/op_table.rs skips this check when there is no `cc`; the CI image
+# has one, so a skip here must be loud, like the native-smoke skip below.
+cargo test -q --test op_table emitted_c_passes_the_host_c_compiler -- --nocapture \
+  | tee target/emit-cc.log
+if grep -q 'emit-cc: SKIPPED' target/emit-cc.log; then
+  echo "emitted C was NOT compiled: no cc on PATH" >&2; exit 1
+fi
+
 echo "== overlap-plan frontier check in a release build =="
 # check_frontier must not hide behind debug_assertions: a narrowed width
 # has to be refused by an optimized build too.
