@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pf_backend::{run_kernel, ExecMode, RunCtx};
 use pf_bench::{kernels_for, workload_store};
-use pf_core::{p1, p2};
+use pf_core::{p1, p2, Family, Variant};
 
 fn bench_variants(c: &mut Criterion) {
     let p = p1();
@@ -20,46 +20,21 @@ fn bench_variants(c: &mut Criterion) {
     let mut g = c.benchmark_group("p1_kernel_variants");
     g.throughput(Throughput::Elements(cells));
     g.sample_size(10);
-    g.bench_function("mu_full", |b| {
-        let mut store = workload_store(&p, &ks, shape);
-        b.iter(|| run_kernel(&ks.mu_full, &mut store, &[], shape, &ctx, ExecMode::Serial));
-    });
-    g.bench_function("mu_split", |b| {
-        let mut store = workload_store(&p, &ks, shape);
-        b.iter(|| {
-            for t in &ks.mu_split.flux_tapes {
-                run_kernel(t, &mut store, &[], shape, &ctx, ExecMode::Serial);
-            }
-            run_kernel(
-                &ks.mu_split.update,
-                &mut store,
-                &[],
-                shape,
-                &ctx,
-                ExecMode::Serial,
-            );
+    for (name, family, variant) in [
+        ("mu_full", Family::Mu, Variant::Full),
+        ("mu_split", Family::Mu, Variant::Split),
+        ("phi_full", Family::Phi, Variant::Full),
+        ("phi_split", Family::Phi, Variant::Split),
+    ] {
+        g.bench_function(name, |b| {
+            let mut store = workload_store(&p, &ks, shape);
+            b.iter(|| {
+                for t in ks.tapes(family, variant) {
+                    run_kernel(t, &mut store, &[], shape, &ctx, ExecMode::Serial);
+                }
+            });
         });
-    });
-    g.bench_function("phi_full", |b| {
-        let mut store = workload_store(&p, &ks, shape);
-        b.iter(|| run_kernel(&ks.phi_full, &mut store, &[], shape, &ctx, ExecMode::Serial));
-    });
-    g.bench_function("phi_split", |b| {
-        let mut store = workload_store(&p, &ks, shape);
-        b.iter(|| {
-            for t in &ks.phi_split.flux_tapes {
-                run_kernel(t, &mut store, &[], shape, &ctx, ExecMode::Serial);
-            }
-            run_kernel(
-                &ks.phi_split.update,
-                &mut store,
-                &[],
-                shape,
-                &ctx,
-                ExecMode::Serial,
-            );
-        });
-    });
+    }
     g.finish();
 }
 

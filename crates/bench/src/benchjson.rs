@@ -289,7 +289,7 @@ impl BenchReport {
     }
 }
 
-/// Check a parsed document against schema `pf-bench/3`. Returns every
+/// Check a parsed document against the current [`SCHEMA`]. Returns every
 /// violation found (empty = valid).
 pub fn validate(j: &Json) -> Vec<String> {
     let mut out = Vec::new();

@@ -17,7 +17,7 @@
 
 use pf_backend::ExecMode;
 use pf_bench::{kernels_for, measure_mlups, with_threads};
-use pf_core::p1;
+use pf_core::{p1, Family, Variant};
 use pf_ir::Tape;
 use pf_machine::skylake_8174;
 use pf_perfmodel::{ecm_model, max_block_size, simulate_sweep, DataVolumes};
@@ -76,13 +76,8 @@ fn main() {
     );
 
     let block = [24usize, 24, 8]; // cache-sim tile (small, same regime)
-    let mu_full: Vec<&Tape> = vec![&ks.mu_full];
-    let mu_split: Vec<&Tape> = ks
-        .mu_split
-        .flux_tapes
-        .iter()
-        .chain([&ks.mu_split.update])
-        .collect();
+    let mu_full = ks.tapes(Family::Mu, Variant::Full);
+    let mu_split = ks.tapes(Family::Mu, Variant::Split);
 
     let pred_full = ecm_for(&mu_full, &sock, block);
     let pred_split = ecm_for(&mu_split, &sock, block);

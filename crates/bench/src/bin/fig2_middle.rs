@@ -8,7 +8,7 @@
 
 use pf_backend::ExecMode;
 use pf_bench::{kernels_for, measure_mlups, with_threads};
-use pf_core::{p1, p2, ModelParams};
+use pf_core::{p1, p2, Family, ModelParams, Variant};
 use pf_ir::Tape;
 use pf_machine::skylake_8174;
 use pf_perfmodel::{ecm_model, simulate_sweep, DataVolumes};
@@ -47,13 +47,8 @@ fn report(p: &ModelParams) -> Json {
     let ks = kernels_for(p);
     let sock = skylake_8174();
     let block = [24usize, 24, 8];
-    let full: Vec<&Tape> = vec![&ks.phi_full];
-    let split: Vec<&Tape> = ks
-        .phi_split
-        .flux_tapes
-        .iter()
-        .chain([&ks.phi_split.update])
-        .collect();
+    let full = ks.tapes(Family::Phi, Variant::Full);
+    let split = ks.tapes(Family::Phi, Variant::Split);
     let e_full = ecm_for(&full, &sock, block);
     let e_split = ecm_for(&split, &sock, block);
 

@@ -17,9 +17,8 @@
 //! are reported but do not fail the run.
 
 use pf_analyze::{analyze, AnalyzeOptions, Diagnostic, SuiteReport};
-use pf_core::{p1, p2, KernelSet, ModelParams, Variant};
+use pf_core::{p1, p2, ModelParams, Variant};
 use pf_grid::Decomposition;
-use pf_ir::Tape;
 use pf_trace::Json;
 
 fn diag_json(d: &Diagnostic) -> Json {
@@ -76,15 +75,6 @@ fn suite_diags(suite: &SuiteReport) -> Vec<Diagnostic> {
         .collect()
 }
 
-fn set_tapes(ks: &KernelSet) -> Vec<&Tape> {
-    let mut tapes: Vec<&Tape> = vec![&ks.phi_full, &ks.mu_full];
-    for split in [&ks.phi_split, &ks.mu_split] {
-        tapes.extend(split.flux_tapes.iter());
-        tapes.push(&split.update);
-    }
-    tapes
-}
-
 fn main() {
     let models: Vec<ModelParams> = vec![p1(), p2()];
     let mut rows: Vec<Json> = Vec::new();
@@ -122,7 +112,7 @@ fn main() {
             intervals: true,
         };
         let mut gpu_diags = Vec::new();
-        for tape in set_tapes(&ks) {
+        for tape in ks.all_tapes() {
             let gpu = pf_bench::gpu_optimized(tape);
             kernels_checked += 1;
             gpu_diags.extend(analyze(&gpu, &opts).diagnostics);

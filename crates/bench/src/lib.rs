@@ -18,7 +18,7 @@
 //! measured-executor timing loop, and text rendering of series/tables.
 
 use pf_backend::{run_kernel, ExecMode, FieldStore, RunCtx};
-use pf_core::{generate_kernels, KernelSet, ModelParams};
+use pf_core::{generate_kernels, Family, KernelSet, ModelParams, Variant};
 use pf_fields::{FieldArray, Layout};
 use pf_ir::{insert_fences, rematerialize, schedule_min_live, GenOptions, Tape};
 use pf_machine::skylake_8174;
@@ -128,46 +128,33 @@ pub fn workload_store(p: &ModelParams, ks: &KernelSet, shape: [usize; 3]) -> Fie
         });
     }
     // Normalize φ to the simplex.
-    {
-        let arr = store.get_mut(f.phi_src);
-        for z in 0..shape[2] as isize {
-            for y in 0..shape[1] as isize {
-                for x in 0..shape[0] as isize {
-                    let mut s = 0.0;
-                    for a in 0..n {
-                        s += arr.get(a, x, y, z).max(0.0);
-                    }
-                    if s <= 1e-12 {
-                        for a in 0..n {
-                            arr.set(a, x, y, z, if a == p.liquid_phase { 1.0 } else { 0.0 });
-                        }
-                    } else {
-                        for a in 0..n {
-                            let v = arr.get(a, x, y, z).max(0.0) / s;
-                            arr.set(a, x, y, z, v);
-                        }
-                    }
-                }
-            }
+    let arr = store.get_mut(f.phi_src);
+    let cells = arr.interior().cells();
+    let mut phi = arr.read_interior();
+    for i in 0..cells {
+        let mut s = 0.0;
+        for a in 0..n {
+            s += phi[a * cells + i].max(0.0);
+        }
+        for a in 0..n {
+            phi[a * cells + i] = if s > 1e-12 {
+                phi[a * cells + i].max(0.0) / s
+            } else if a == p.liquid_phase {
+                1.0
+            } else {
+                0.0
+            };
         }
     }
+    arr.write_box(arr.interior(), &phi);
     for i in 0..p.num_mu() {
         store
             .get_mut(f.mu_src)
             .fill_with(i, |x, y, z| 0.05 * ((x + y + z) % 11) as f64 / 11.0);
     }
-    // φ_dst slightly evolved (the µ kernel reads it).
-    let phi_src = store.get(f.phi_src).clone();
+    // φ_dst = φ_src (the µ kernel reads it).
     let dst = store.get_mut(f.phi_dst);
-    for a in 0..n {
-        for z in 0..shape[2] as isize {
-            for y in 0..shape[1] as isize {
-                for x in 0..shape[0] as isize {
-                    dst.set(a, x, y, z, phi_src.get(a, x, y, z));
-                }
-            }
-        }
-    }
+    dst.write_box(dst.interior(), &phi);
     for field in [f.phi_src, f.phi_dst, f.mu_src] {
         for d in 0..3 {
             store.get_mut(field).apply_periodic(d);
@@ -208,23 +195,11 @@ pub fn standard_kernel_perf(p: &ModelParams, ks: &KernelSet) -> Vec<KernelPerf> 
     } else {
         ([12usize, 12, 12], 2, 5)
     };
-    let mu_split: Vec<&Tape> = ks
-        .mu_split
-        .flux_tapes
-        .iter()
-        .chain([&ks.mu_split.update])
-        .collect();
-    let phi_split: Vec<&Tape> = ks
-        .phi_split
-        .flux_tapes
-        .iter()
-        .chain([&ks.phi_split.update])
-        .collect();
-    let variants: Vec<(&str, &str, Vec<&Tape>)> = vec![
-        ("mu", "full", vec![&ks.mu_full]),
-        ("mu", "split", mu_split),
-        ("phi", "full", vec![&ks.phi_full]),
-        ("phi", "split", phi_split),
+    let variants = [
+        ("mu", "full", ks.tapes(Family::Mu, Variant::Full)),
+        ("mu", "split", ks.tapes(Family::Mu, Variant::Split)),
+        ("phi", "full", ks.tapes(Family::Phi, Variant::Full)),
+        ("phi", "split", ks.tapes(Family::Phi, Variant::Split)),
     ];
     let modes = bench_exec_modes();
     let mut out = Vec::new();

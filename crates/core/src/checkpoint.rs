@@ -8,11 +8,11 @@
 //! domain decomposition so a restart can verify it is resuming the same
 //! partitioning.
 //!
-//! Format (version 1, little-endian):
+//! One container (little-endian) holds both kinds of file:
 //!
 //! ```text
 //! magic        8 B   "PFCKPT01"
-//! version      u32
+//! version      u32   1 = full snapshot, 2 = increment
 //! params_fp    u64   FNV-1a fingerprint of ModelParams
 //! step         u64
 //! seed         u32   Philox key half of the counter state
@@ -27,9 +27,25 @@
 //! shape        3×u64 local interior extent
 //! phases       u32
 //! num_mu       u32
-//! payload      f64 bits, x-fastest, component-major: φ then µ interiors
+//! rows         version 1: every row, untagged
+//!              version 2: base_step u64, row count u64, then per row
+//!                         field u8 (0 = φ, 1 = µ), comp u32, y u32, z u32
+//!                         and the row
 //! checksum     u64   FNV-1a over every preceding byte
 //! ```
+//!
+//! A *row* is the `shape[0]` x-values (f64 bits) of one `(field,
+//! component, z, y)`; "every row" is φ then µ in
+//! [`pf_fields::FieldArray::read_box`] order of the interior. A full
+//! snapshot carries them all; an increment names the step of the set it
+//! applies on top of and carries only the rows whose bits changed since —
+//! phase-field fronts touch a thin shell of cells per step, so far-field
+//! slabs drop out. [`parse`] reads either; restoring stages the rows a file
+//! carries over the state it applies to and commits only when the whole
+//! file was valid. [`decode_into`] accepts full snapshots only and refuses
+//! an increment with [`CheckpointError::UnsupportedVersion`];
+//! [`load_chain`] walks a rank file's base links back to the newest full
+//! snapshot and replays the increments forward.
 //!
 //! Files are written atomically (`.tmp` then rename), so a crash mid-write
 //! never leaves a file that parses. Every decode failure is a typed
@@ -38,16 +54,8 @@
 //! Distributed runs write one file per rank into a per-step set directory,
 //! `<root>/step_<NNNNNNNN>/rank_<RRRR>.ckpt`; a set is *complete* once all
 //! `nranks` files exist, and restart resumes from the newest complete set.
-//!
-//! **Incremental checkpoints** (version 2) carry the same header followed
-//! by the step of the *base* checkpoint they apply on top of and only the
-//! interior rows — one `(field, component, y, z)` run of `shape[0]` values
-//! — whose bits changed since that base. Version-1 readers reject them
-//! with [`CheckpointError::UnsupportedVersion`]; [`load_chain`] walks a
-//! rank file's base chain back to the newest full snapshot and replays the
-//! increments forward. Phase-field fronts touch a thin shell of cells per
-//! step, so far-field slabs drop out of the delta entirely.
 
+use crate::bytes::{seal, unseal, Fnv, Reader, Short};
 use crate::params::ModelParams;
 use crate::sim::{BcKind, Simulation, Variant};
 use pf_rng::CounterState;
@@ -55,6 +63,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 pub const MAGIC: [u8; 8] = *b"PFCKPT01";
+/// Format version of full snapshots.
 pub const VERSION: u32 = 1;
 /// Format version of incremental (dirty-row delta) checkpoint files.
 pub const VERSION_INCREMENTAL: u32 = 2;
@@ -84,7 +93,11 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
             CheckpointError::BadMagic => write!(f, "not a pf checkpoint (bad magic)"),
             CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v} (expected {VERSION})")
+                write!(
+                    f,
+                    "unsupported checkpoint version {v} (expected {VERSION}, a full \
+                     snapshot, or {VERSION_INCREMENTAL}, an increment)"
+                )
             }
             CheckpointError::Truncated => write!(f, "checkpoint file is truncated"),
             CheckpointError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),
@@ -112,6 +125,12 @@ impl std::error::Error for CheckpointError {
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         CheckpointError::Io(e)
+    }
+}
+
+impl From<Short> for CheckpointError {
+    fn from(_: Short) -> Self {
+        CheckpointError::Truncated
     }
 }
 
@@ -154,37 +173,6 @@ pub struct CheckpointHeader {
     pub shape: [usize; 3],
     pub phases: usize,
     pub num_mu: usize,
-}
-
-// ---------------------------------------------------------------------------
-// FNV-1a hashing (params fingerprint and whole-file checksum)
-// ---------------------------------------------------------------------------
-
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Order-sensitive FNV-1a fingerprint over every field of [`ModelParams`].
@@ -259,23 +247,6 @@ pub fn params_fingerprint(p: &ModelParams) -> u64 {
 // Byte-level encode/decode
 // ---------------------------------------------------------------------------
 
-fn variant_code(v: Variant) -> u8 {
-    match v {
-        Variant::Full => 0,
-        Variant::Split => 1,
-    }
-}
-
-fn variant_from(code: u8) -> Result<Variant, CheckpointError> {
-    match code {
-        0 => Ok(Variant::Full),
-        1 => Ok(Variant::Split),
-        other => Err(CheckpointError::Incompatible(format!(
-            "unknown kernel variant code {other}"
-        ))),
-    }
-}
-
 fn bc_code(b: BcKind) -> u8 {
     match b {
         BcKind::Periodic => 0,
@@ -293,57 +264,58 @@ fn bc_from(code: u8) -> Result<BcKind, CheckpointError> {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// The interiors as of the last checkpoint written — the diff base for
+/// incremental writes. One per rank, refreshed after every successful
+/// write (full or incremental).
+#[derive(Clone)]
+pub struct IncrementalBase {
+    /// Step the base state corresponds to; a set for it exists on disk.
+    pub step: u64,
+    /// φ then µ, each every row in payload order.
+    fields: [Vec<f64>; 2],
 }
 
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CheckpointError::Truncated);
+impl IncrementalBase {
+    /// Snapshot `sim`'s interiors in payload order.
+    pub fn capture(sim: &Simulation) -> Self {
+        IncrementalBase {
+            step: sim.step_count,
+            fields: [sim.phi().read_interior(), sim.mu().read_interior()],
         }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, CheckpointError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 }
 
-/// Serialize a simulation's restart state.
+/// Serialize a simulation's restart state as a full snapshot.
 pub fn encode(sim: &Simulation, meta: &RankMeta) -> Vec<u8> {
+    encode_rows(sim, meta, None).0
+}
+
+/// Serialize the dirty rows of `sim` relative to `base` as an increment. A
+/// row is written only when its bits differ from the base, so the
+/// untouched far field costs nothing.
+pub fn encode_incremental(sim: &Simulation, meta: &RankMeta, base: &IncrementalBase) -> Vec<u8> {
+    encode_rows(sim, meta, Some(base)).0
+}
+
+/// The file for `sim`'s state — an increment over `base` when there is one,
+/// else a full snapshot — and that state as the next write's diff base.
+fn encode_rows(
+    sim: &Simulation,
+    meta: &RankMeta,
+    base: Option<&IncrementalBase>,
+) -> (Vec<u8>, IncrementalBase) {
     let shape = sim.cfg.shape;
-    let phases = sim.params.phases;
-    let num_mu = sim.params.num_mu();
-    let cells = shape[0] * shape[1] * shape[2];
-    let mut out = Vec::with_capacity(128 + 8 * cells * (phases + num_mu));
+    let captured = IncrementalBase::capture(sim);
+    let now = &captured.fields;
+    let mut out = Vec::with_capacity(128 + 8 * (now[0].len() + now[1].len()));
     out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
+    let version = base.map_or(VERSION, |_| VERSION_INCREMENTAL);
+    out.extend_from_slice(&version.to_le_bytes());
     out.extend_from_slice(&params_fingerprint(&sim.params).to_le_bytes());
     out.extend_from_slice(&sim.step_count.to_le_bytes());
     out.extend_from_slice(&sim.cfg.seed.to_le_bytes());
-    out.push(variant_code(sim.cfg.phi_variant));
-    out.push(variant_code(sim.cfg.mu_variant));
+    out.push(sim.cfg.phi_variant.code());
+    out.push(sim.cfg.mu_variant.code());
     for d in 0..3 {
         out.push(bc_code(sim.cfg.bc[d]));
     }
@@ -361,38 +333,96 @@ pub fn encode(sim: &Simulation, meta: &RankMeta) -> Vec<u8> {
     for s in shape {
         out.extend_from_slice(&(s as u64).to_le_bytes());
     }
-    out.extend_from_slice(&(phases as u32).to_le_bytes());
-    out.extend_from_slice(&(num_mu as u32).to_le_bytes());
-    for (arr, comps) in [(sim.phi(), phases), (sim.mu(), num_mu)] {
-        for comp in 0..comps {
-            for z in 0..shape[2] as isize {
-                for y in 0..shape[1] as isize {
-                    for x in 0..shape[0] as isize {
-                        out.extend_from_slice(&arr.get(comp, x, y, z).to_bits().to_le_bytes());
-                    }
+    out.extend_from_slice(&(sim.params.phases as u32).to_le_bytes());
+    out.extend_from_slice(&(sim.params.num_mu() as u32).to_le_bytes());
+
+    // Every row of a full snapshot; of an increment, after the base step
+    // and the row count, the tagged rows whose bits left the base's.
+    let [nx, ny, nz] = shape;
+    let count_at = out.len() + 8;
+    if let Some(base) = base {
+        out.extend_from_slice(&base.step.to_le_bytes());
+        out.extend_from_slice(&0u64.to_le_bytes());
+    }
+    let (mut written, mut clean) = (0u64, 0u64);
+    for (f, vals) in now.iter().enumerate() {
+        for (k, row) in vals.chunks(nx).enumerate() {
+            if let Some(base) = base {
+                let was = &base.fields[f][k * nx..(k + 1) * nx];
+                if row.iter().zip(was).all(|(a, b)| a.to_bits() == b.to_bits()) {
+                    clean += 1;
+                    continue;
                 }
+                out.push(f as u8);
+                for tag in [k / (ny * nz), k % ny, k / ny % nz] {
+                    out.extend_from_slice(&(tag as u32).to_le_bytes());
+                }
+            }
+            written += 1;
+            for v in row {
+                out.extend_from_slice(&v.to_bits().to_le_bytes());
             }
         }
     }
-    let mut h = Fnv::new();
-    h.write(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
-    out
+    if base.is_some() {
+        out[count_at..count_at + 8].copy_from_slice(&written.to_le_bytes());
+        pf_trace::counter("checkpoint.incremental.dirty_rows").incr(written);
+        pf_trace::counter("checkpoint.incremental.clean_rows").incr(clean);
+    }
+    seal(&mut out);
+    (out, captured)
 }
 
-fn decode_header(r: &mut Reader<'_>) -> Result<CheckpointHeader, CheckpointError> {
+/// What a checkpoint file carries after its header.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    /// Every row.
+    Full,
+    /// The rows that changed since the set at `base_step`.
+    Increment { base_step: u64 },
+}
+
+/// A checkpoint file whose checksum held and whose header decoded.
+#[derive(Clone, Debug)]
+pub struct Parsed {
+    pub header: CheckpointHeader,
+    pub kind: Kind,
+    /// Where the rows start in the bytes [`parse`] was given.
+    rows_at: usize,
+}
+
+impl Parsed {
+    /// This file if it is of format `version`, else the typed refusal.
+    fn only(self, version: u32) -> Result<Parsed, CheckpointError> {
+        if self.header.version == version {
+            Ok(self)
+        } else {
+            Err(CheckpointError::UnsupportedVersion(self.header.version))
+        }
+    }
+}
+
+/// Checksum-verify raw file bytes and decode everything before the rows.
+pub fn parse(bytes: &[u8]) -> Result<Parsed, CheckpointError> {
+    let body = unseal(bytes)?.ok_or(CheckpointError::ChecksumMismatch)?;
+    let mut r = Reader::new(body);
     if r.take(8)? != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
     let version = r.u32()?;
-    if version != VERSION {
+    if version != VERSION && version != VERSION_INCREMENTAL {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
     let params_fp = r.u64()?;
     let step = r.u64()?;
     let seed = r.u32()?;
-    let phi_variant = variant_from(r.u8()?)?;
-    let mu_variant = variant_from(r.u8()?)?;
+    let variant = |code: u8| {
+        Variant::from_code(code).ok_or_else(|| {
+            CheckpointError::Incompatible(format!("unknown kernel variant code {code}"))
+        })
+    };
+    let phi_variant = variant(r.u8()?)?;
+    let mu_variant = variant(r.u8()?)?;
     let bc = [bc_from(r.u8()?)?, bc_from(r.u8()?)?, bc_from(r.u8()?)?];
     let rank = r.u32()?;
     let nranks = r.u32()?;
@@ -407,7 +437,14 @@ fn decode_header(r: &mut Reader<'_>) -> Result<CheckpointHeader, CheckpointError
         shape[d] = usize::try_from(shape_u[d])
             .map_err(|_| CheckpointError::Incompatible("shape overflows usize".into()))?;
     }
-    Ok(CheckpointHeader {
+    let kind = if version == VERSION {
+        Kind::Full
+    } else {
+        Kind::Increment {
+            base_step: r.u64()?,
+        }
+    };
+    let header = CheckpointHeader {
         version,
         params_fp,
         step,
@@ -425,35 +462,38 @@ fn decode_header(r: &mut Reader<'_>) -> Result<CheckpointHeader, CheckpointError
         shape,
         phases,
         num_mu,
+    };
+    Ok(Parsed {
+        header,
+        kind,
+        rows_at: r.pos(),
     })
 }
 
-fn verify_checksum(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
-    if bytes.len() < 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().unwrap());
-    let mut h = Fnv::new();
-    h.write(body);
-    if h.finish() != stored {
-        return Err(CheckpointError::ChecksumMismatch);
-    }
-    Ok(body)
-}
-
-/// Parse and checksum-verify a checkpoint's header from raw file bytes.
+/// Parse and checksum-verify a full snapshot's header from raw file bytes.
 pub fn parse_header(bytes: &[u8]) -> Result<CheckpointHeader, CheckpointError> {
-    let body = verify_checksum(bytes)?;
-    decode_header(&mut Reader { buf: body, pos: 0 })
+    Ok(parse(bytes)?.only(VERSION)?.header)
 }
 
-/// Read and verify only the header of a checkpoint file.
+/// Read and verify only the header of a full-snapshot file.
 pub fn read_header(path: &Path) -> Result<CheckpointHeader, CheckpointError> {
     parse_header(&std::fs::read(path)?)
 }
 
-/// Restore a simulation from checkpoint bytes. `sim` must be configured
+/// Format version of checksummed checkpoint bytes.
+pub fn peek_version(bytes: &[u8]) -> Result<u32, CheckpointError> {
+    Ok(parse(bytes)?.header.version)
+}
+
+/// The base step an incremental file applies on top of.
+pub fn incremental_base_step(bytes: &[u8]) -> Result<u64, CheckpointError> {
+    match parse(bytes)?.kind {
+        Kind::Increment { base_step } => Ok(base_step),
+        Kind::Full => Err(CheckpointError::UnsupportedVersion(VERSION)),
+    }
+}
+
+/// Restore a simulation from full-snapshot bytes. `sim` must be configured
 /// identically to the writer (shape, variants, boundary conditions, seed,
 /// parameters); every divergence is a typed error, and `sim` is untouched
 /// on failure. On success the field interiors, step count, and origin are
@@ -464,50 +504,97 @@ pub fn decode_into(
     meta: &RankMeta,
     bytes: &[u8],
 ) -> Result<(), CheckpointError> {
-    let body = verify_checksum(bytes)?;
-    let mut r = Reader { buf: body, pos: 0 };
-    let h = decode_header(&mut r)?;
-    check_compat(sim, meta, &h)?;
+    restore(sim, meta, &parse(bytes)?.only(VERSION)?, bytes)
+}
 
-    // Stage the payload fully before touching `sim`, so a truncated file
-    // can't leave it half-restored.
-    let shape = h.shape;
-    let cells = shape[0] * shape[1] * shape[2];
-    let mut phi = vec![0.0f64; h.phases * cells];
-    let mut mu = vec![0.0f64; h.num_mu * cells];
-    for slot in phi.iter_mut().chain(mu.iter_mut()) {
-        *slot = r.f64()?;
+/// Apply an increment on top of the state `sim` currently holds, which
+/// must be the increment's base (`sim.step_count == base_step`). Every
+/// failure is typed and leaves `sim` unchanged.
+pub fn apply_incremental(
+    sim: &mut Simulation,
+    meta: &RankMeta,
+    bytes: &[u8],
+) -> Result<(), CheckpointError> {
+    restore(sim, meta, &parse(bytes)?.only(VERSION_INCREMENTAL)?, bytes)
+}
+
+/// Load the rows `bytes` (which `p` was parsed from) carries into `sim`:
+/// every row of a full snapshot, the tagged rows of an increment. They are
+/// staged over a copy of the interiors and committed only once the whole
+/// file was valid, so a short or malformed file cannot leave `sim`
+/// half-restored.
+fn restore(
+    sim: &mut Simulation,
+    meta: &RankMeta,
+    p: &Parsed,
+    bytes: &[u8],
+) -> Result<(), CheckpointError> {
+    let h = &p.header;
+    check_compat(sim, meta, h)?;
+    let [nx, ny, nz] = h.shape;
+    let comps = [h.phases, h.num_mu];
+    let rows = &bytes[p.rows_at..bytes.len() - 8];
+    let mut r = Reader::new(rows);
+    let mut staged = IncrementalBase::capture(sim).fields;
+    let mut stage = |r: &mut Reader<'_>, f: usize, k: usize| -> Result<(), Short> {
+        for slot in &mut staged[f][k * nx..(k + 1) * nx] {
+            *slot = r.f64()?;
+        }
+        Ok(())
+    };
+    match p.kind {
+        Kind::Full => {
+            for (f, n) in comps.into_iter().enumerate() {
+                for k in 0..n * ny * nz {
+                    stage(&mut r, f, k)?;
+                }
+            }
+        }
+        Kind::Increment { base_step } => {
+            if base_step >= h.step {
+                return Err(CheckpointError::Incompatible(format!(
+                    "increment at step {} does not advance its base step {base_step}",
+                    h.step
+                )));
+            }
+            if sim.step_count != base_step {
+                return Err(CheckpointError::Incompatible(format!(
+                    "increment applies on top of step {base_step} but the simulation holds \
+                     step {}",
+                    sim.step_count
+                )));
+            }
+            for _ in 0..r.u64()? {
+                let f = r.u8()? as usize;
+                let (comp, y, z) = (r.u32()? as usize, r.u32()? as usize, r.u32()? as usize);
+                if f >= 2 || comp >= comps[f] || y >= ny || z >= nz {
+                    return Err(CheckpointError::Incompatible(format!(
+                        "incremental row ({f},{comp},{y},{z}) outside block {:?}",
+                        h.shape
+                    )));
+                }
+                stage(&mut r, f, (comp * nz + z) * ny + y)?;
+            }
+        }
     }
-    if r.pos != body.len() {
+    if r.pos() != rows.len() {
         return Err(CheckpointError::Incompatible(
-            "trailing bytes after payload".into(),
+            "trailing bytes after the rows".into(),
         ));
     }
 
     sim.step_count = h.step;
     sim.origin = h.origin;
     let fields = sim.kernels.fields;
-    for (field, comps, data) in [
-        (fields.phi_src, h.phases, &phi),
-        (fields.mu_src, h.num_mu, &mu),
-    ] {
+    for (field, vals) in [fields.phi_src, fields.mu_src].into_iter().zip(&staged) {
         let arr = sim.store.get_mut(field);
-        let mut it = data.iter();
-        for comp in 0..comps {
-            for z in 0..shape[2] as isize {
-                for y in 0..shape[1] as isize {
-                    for x in 0..shape[0] as isize {
-                        arr.set(comp, x, y, z, *it.next().unwrap());
-                    }
-                }
-            }
-        }
+        arr.write_box(arr.interior(), vals);
     }
     Ok(())
 }
 
 /// Reject a structurally valid header that belongs to a different run
-/// setup. Shared by the full and incremental decoders.
+/// setup.
 fn check_compat(
     sim: &Simulation,
     meta: &RankMeta,
@@ -560,305 +647,12 @@ fn check_compat(
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Incremental (dirty-row) checkpoints — format version 2
-// ---------------------------------------------------------------------------
-//
-// After the version-1 header fields the file carries:
-//
-// ```text
-// base_step    u64   step of the checkpoint this delta applies on top of
-// nrows        u64
-// per row:     field u8 (0 = φ, 1 = µ), comp u32, y u32, z u32,
-//              shape[0] × f64 bits
-// checksum     u64   FNV-1a over every preceding byte
-// ```
-
-/// In-memory copy of the interiors as of the last checkpoint written —
-/// the diff base for incremental writes. One per rank, refreshed after
-/// every successful write (full or incremental).
-#[derive(Clone)]
-pub struct IncrementalBase {
-    /// Step the base state corresponds to; a set for it exists on disk.
-    pub step: u64,
-    phi: Vec<f64>,
-    mu: Vec<f64>,
-}
-
-impl IncrementalBase {
-    /// Snapshot `sim`'s interiors in payload order (component-major,
-    /// z → y → x rows).
-    pub fn capture(sim: &Simulation) -> Self {
-        let shape = sim.cfg.shape;
-        let grab = |arr: &pf_fields::FieldArray, comps: usize| {
-            let mut v = Vec::with_capacity(comps * shape[0] * shape[1] * shape[2]);
-            for comp in 0..comps {
-                for z in 0..shape[2] as isize {
-                    for y in 0..shape[1] as isize {
-                        for x in 0..shape[0] as isize {
-                            v.push(arr.get(comp, x, y, z));
-                        }
-                    }
-                }
-            }
-            v
-        };
-        IncrementalBase {
-            step: sim.step_count,
-            phi: grab(sim.phi(), sim.params.phases),
-            mu: grab(sim.mu(), sim.params.num_mu()),
-        }
-    }
-}
-
-/// Serialize the dirty rows of `sim` relative to `base` as a version-2
-/// incremental checkpoint. A row is the `shape[0]` x-values of one
-/// `(field, component, y, z)` run; it is written only when its bits differ
-/// from the base, so the untouched far field costs nothing.
-pub fn encode_incremental(sim: &Simulation, meta: &RankMeta, base: &IncrementalBase) -> Vec<u8> {
-    let shape = sim.cfg.shape;
-    let phases = sim.params.phases;
-    let num_mu = sim.params.num_mu();
-    let nx = shape[0];
-
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION_INCREMENTAL.to_le_bytes());
-    out.extend_from_slice(&params_fingerprint(&sim.params).to_le_bytes());
-    out.extend_from_slice(&sim.step_count.to_le_bytes());
-    out.extend_from_slice(&sim.cfg.seed.to_le_bytes());
-    out.push(variant_code(sim.cfg.phi_variant));
-    out.push(variant_code(sim.cfg.mu_variant));
-    for d in 0..3 {
-        out.push(bc_code(sim.cfg.bc[d]));
-    }
-    out.extend_from_slice(&meta.rank.to_le_bytes());
-    out.extend_from_slice(&meta.nranks.to_le_bytes());
-    for d in 0..3 {
-        out.extend_from_slice(&meta.grid[d].to_le_bytes());
-    }
-    for d in 0..3 {
-        out.extend_from_slice(&meta.global[d].to_le_bytes());
-    }
-    for d in 0..3 {
-        out.extend_from_slice(&sim.origin[d].to_le_bytes());
-    }
-    for s in shape {
-        out.extend_from_slice(&(s as u64).to_le_bytes());
-    }
-    out.extend_from_slice(&(phases as u32).to_le_bytes());
-    out.extend_from_slice(&(num_mu as u32).to_le_bytes());
-    out.extend_from_slice(&base.step.to_le_bytes());
-
-    let nrows_at = out.len();
-    out.extend_from_slice(&0u64.to_le_bytes());
-    let mut nrows = 0u64;
-    let mut clean = 0u64;
-    for (fcode, arr, comps, basev) in [
-        (0u8, sim.phi(), phases, &base.phi),
-        (1u8, sim.mu(), num_mu, &base.mu),
-    ] {
-        let mut idx = 0usize;
-        for comp in 0..comps {
-            for z in 0..shape[2] as isize {
-                for y in 0..shape[1] as isize {
-                    let row = &basev[idx..idx + nx];
-                    idx += nx;
-                    let dirty = (0..nx as isize)
-                        .any(|x| arr.get(comp, x, y, z).to_bits() != row[x as usize].to_bits());
-                    if !dirty {
-                        clean += 1;
-                        continue;
-                    }
-                    nrows += 1;
-                    out.push(fcode);
-                    out.extend_from_slice(&(comp as u32).to_le_bytes());
-                    out.extend_from_slice(&(y as u32).to_le_bytes());
-                    out.extend_from_slice(&(z as u32).to_le_bytes());
-                    for x in 0..nx as isize {
-                        out.extend_from_slice(&arr.get(comp, x, y, z).to_bits().to_le_bytes());
-                    }
-                }
-            }
-        }
-    }
-    out[nrows_at..nrows_at + 8].copy_from_slice(&nrows.to_le_bytes());
-    pf_trace::counter("checkpoint.incremental.dirty_rows").incr(nrows);
-    pf_trace::counter("checkpoint.incremental.clean_rows").incr(clean);
-
-    let mut h = Fnv::new();
-    h.write(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
-    out
-}
-
-/// Header version of checksummed checkpoint bytes, without committing to a
-/// format: the dispatch point between full and incremental decoding.
-pub fn peek_version(bytes: &[u8]) -> Result<u32, CheckpointError> {
-    let body = verify_checksum(bytes)?;
-    let mut r = Reader { buf: body, pos: 0 };
-    if r.take(8)? != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    r.u32()
-}
-
-/// Identical field layout to version 1 past the version word, so the two
-/// header decoders differ only in the version they accept.
-fn decode_header_incremental(r: &mut Reader<'_>) -> Result<CheckpointHeader, CheckpointError> {
-    if r.take(8)? != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != VERSION_INCREMENTAL {
-        return Err(CheckpointError::UnsupportedVersion(version));
-    }
-    let params_fp = r.u64()?;
-    let step = r.u64()?;
-    let seed = r.u32()?;
-    let phi_variant = variant_from(r.u8()?)?;
-    let mu_variant = variant_from(r.u8()?)?;
-    let bc = [bc_from(r.u8()?)?, bc_from(r.u8()?)?, bc_from(r.u8()?)?];
-    let rank = r.u32()?;
-    let nranks = r.u32()?;
-    let grid = [r.u32()?, r.u32()?, r.u32()?];
-    let global = [r.u64()?, r.u64()?, r.u64()?];
-    let origin = [r.i64()?, r.i64()?, r.i64()?];
-    let shape_u = [r.u64()?, r.u64()?, r.u64()?];
-    let phases = r.u32()? as usize;
-    let num_mu = r.u32()? as usize;
-    let mut shape = [0usize; 3];
-    for d in 0..3 {
-        shape[d] = usize::try_from(shape_u[d])
-            .map_err(|_| CheckpointError::Incompatible("shape overflows usize".into()))?;
-    }
-    Ok(CheckpointHeader {
-        version,
-        params_fp,
-        step,
-        rng: CounterState::new(seed, step),
-        phi_variant,
-        mu_variant,
-        bc,
-        meta: RankMeta {
-            rank,
-            nranks,
-            grid,
-            global,
-        },
-        origin,
-        shape,
-        phases,
-        num_mu,
-    })
-}
-
-/// The base step an incremental file applies on top of (header only).
-pub fn incremental_base_step(bytes: &[u8]) -> Result<u64, CheckpointError> {
-    let body = verify_checksum(bytes)?;
-    let mut r = Reader { buf: body, pos: 0 };
-    let _h = decode_header_incremental(&mut r)?;
-    r.u64()
-}
-
-/// Apply a version-2 incremental checkpoint on top of the state `sim`
-/// currently holds, which must be the delta's base (`sim.step_count ==
-/// base_step`). All rows are staged and validated before `sim` is touched;
-/// every failure is typed and leaves `sim` unchanged.
-pub fn apply_incremental(
-    sim: &mut Simulation,
-    meta: &RankMeta,
-    bytes: &[u8],
-) -> Result<(), CheckpointError> {
-    let body = verify_checksum(bytes)?;
-    let mut r = Reader { buf: body, pos: 0 };
-    let h = decode_header_incremental(&mut r)?;
-    check_compat(sim, meta, &h)?;
-    let base_step = r.u64()?;
-    if base_step >= h.step {
-        return Err(CheckpointError::Incompatible(format!(
-            "increment at step {} does not advance its base step {base_step}",
-            h.step
-        )));
-    }
-    if sim.step_count != base_step {
-        return Err(CheckpointError::Incompatible(format!(
-            "increment applies on top of step {base_step} but the simulation holds step {}",
-            sim.step_count
-        )));
-    }
-
-    let shape = h.shape;
-    let nx = shape[0];
-    let nrows = r.u64()?;
-    let mut rows: Vec<(u8, usize, isize, isize, Vec<f64>)> = Vec::new();
-    for _ in 0..nrows {
-        let fcode = r.u8()?;
-        let comps = match fcode {
-            0 => h.phases,
-            1 => h.num_mu,
-            other => {
-                return Err(CheckpointError::Incompatible(format!(
-                    "unknown field code {other} in incremental row"
-                )))
-            }
-        };
-        let comp = r.u32()? as usize;
-        let y = r.u32()? as usize;
-        let z = r.u32()? as usize;
-        if comp >= comps || y >= shape[1] || z >= shape[2] {
-            return Err(CheckpointError::Incompatible(format!(
-                "incremental row ({fcode},{comp},{y},{z}) outside block {shape:?}"
-            )));
-        }
-        let mut vals = Vec::with_capacity(nx);
-        for _ in 0..nx {
-            vals.push(r.f64()?);
-        }
-        rows.push((fcode, comp, y as isize, z as isize, vals));
-    }
-    if r.pos != body.len() {
-        return Err(CheckpointError::Incompatible(
-            "trailing bytes after incremental rows".into(),
-        ));
-    }
-
-    sim.step_count = h.step;
-    sim.origin = h.origin;
-    let fields = sim.kernels.fields;
-    for (fcode, comp, y, z, vals) in rows {
-        let field = if fcode == 0 {
-            fields.phi_src
-        } else {
-            fields.mu_src
-        };
-        let arr = sim.store.get_mut(field);
-        for (x, v) in vals.into_iter().enumerate() {
-            arr.set(comp, x as isize, y, z, v);
-        }
-    }
-    Ok(())
-}
-
-/// Save an incremental checkpoint to `path` (atomic write).
-pub fn save_incremental(
-    sim: &Simulation,
-    meta: &RankMeta,
-    base: &IncrementalBase,
-    path: &Path,
-) -> Result<(), CheckpointError> {
-    let _span = pf_trace::span("checkpoint.save_incremental");
-    let bytes = encode_incremental(sim, meta, base);
-    pf_trace::counter("checkpoint.bytes_written").incr(bytes.len() as u64);
-    pf_trace::counter("checkpoint.incremental_writes").incr(1);
-    write_atomic(path, &bytes)
-}
-
 /// Restore `sim` from the rank file at `step`, following incremental base
 /// links back to the newest full snapshot and replaying the deltas
 /// forward. Returns the number of increments applied (0 = the file was a
-/// full snapshot). Errors are typed; a broken link in the chain surfaces
-/// as the underlying I/O or format error.
+/// full snapshot). Every link is read and parsed once, all of them before
+/// `sim` is touched; errors are typed, and a broken link in the chain
+/// surfaces as the underlying I/O or format error.
 pub fn load_chain(
     sim: &mut Simulation,
     meta: &RankMeta,
@@ -866,33 +660,27 @@ pub fn load_chain(
     step: u64,
     rank: usize,
 ) -> Result<usize, CheckpointError> {
-    let mut chain: Vec<Vec<u8>> = Vec::new();
+    let mut chain: Vec<(Vec<u8>, Parsed)> = Vec::new();
     let mut cur = step;
     loop {
         let bytes = std::fs::read(rank_file(root, cur, rank))?;
-        match peek_version(&bytes)? {
-            VERSION => {
-                decode_into(sim, meta, &bytes)?;
-                break;
+        let p = parse(&bytes)?;
+        let kind = p.kind;
+        chain.push((bytes, p));
+        match kind {
+            Kind::Full => break,
+            Kind::Increment { base_step } if base_step < cur => cur = base_step,
+            Kind::Increment { base_step } => {
+                return Err(CheckpointError::Incompatible(format!(
+                    "increment at step {cur} names a non-preceding base step {base_step}"
+                )))
             }
-            VERSION_INCREMENTAL => {
-                let base = incremental_base_step(&bytes)?;
-                if base >= cur {
-                    return Err(CheckpointError::Incompatible(format!(
-                        "increment at step {cur} names a non-preceding base step {base}"
-                    )));
-                }
-                chain.push(bytes);
-                cur = base;
-            }
-            other => return Err(CheckpointError::UnsupportedVersion(other)),
         }
     }
-    let n = chain.len();
-    for bytes in chain.into_iter().rev() {
-        apply_incremental(sim, meta, &bytes)?;
+    for (bytes, p) in chain.iter().rev() {
+        restore(sim, meta, p, bytes)?;
     }
-    Ok(n)
+    Ok(chain.len() - 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -919,12 +707,41 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     Ok(())
 }
 
-/// Save a simulation to `path` (atomic write).
-pub fn save(sim: &Simulation, meta: &RankMeta, path: &Path) -> Result<(), CheckpointError> {
-    let _span = pf_trace::span("checkpoint.save");
-    let bytes = encode(sim, meta);
+/// Write `sim`'s next checkpoint to `path` atomically — an increment over
+/// `base` when there is one, else a full snapshot — and return the state
+/// written as the diff base for the write after it.
+pub fn save_over(
+    sim: &Simulation,
+    meta: &RankMeta,
+    base: Option<&IncrementalBase>,
+    path: &Path,
+) -> Result<IncrementalBase, CheckpointError> {
+    let _span = pf_trace::span(match base {
+        Some(_) => "checkpoint.save_incremental",
+        None => "checkpoint.save",
+    });
+    let (bytes, written) = encode_rows(sim, meta, base);
     pf_trace::counter("checkpoint.bytes_written").incr(bytes.len() as u64);
-    write_atomic(path, &bytes)
+    if base.is_some() {
+        pf_trace::counter("checkpoint.incremental_writes").incr(1);
+    }
+    write_atomic(path, &bytes)?;
+    Ok(written)
+}
+
+/// Save a full snapshot of `sim` to `path` (atomic write).
+pub fn save(sim: &Simulation, meta: &RankMeta, path: &Path) -> Result<(), CheckpointError> {
+    save_over(sim, meta, None, path).map(drop)
+}
+
+/// Save an increment over `base` to `path` (atomic write).
+pub fn save_incremental(
+    sim: &Simulation,
+    meta: &RankMeta,
+    base: &IncrementalBase,
+    path: &Path,
+) -> Result<(), CheckpointError> {
+    save_over(sim, meta, Some(base), path).map(drop)
 }
 
 /// Restore a simulation from `path` (see [`decode_into`] for the checks).
@@ -1214,6 +1031,19 @@ mod tests {
         assert_eq!(fresh.phi().max_abs_diff(sim.phi()), 0.0);
         assert_eq!(fresh.mu().max_abs_diff(sim.mu()), 0.0);
 
+        // A corrupt middle link is found before anything is restored.
+        let middle = rank_file(&dir, 4, 0);
+        let mut bytes = std::fs::read(&middle).unwrap();
+        bytes[70] ^= 0x04;
+        std::fs::write(&middle, &bytes).unwrap();
+        let mut untouched = mini_sim();
+        let before = encode(&untouched, &meta);
+        assert!(matches!(
+            load_chain(&mut untouched, &meta, &dir, 6, 0),
+            Err(CheckpointError::ChecksumMismatch)
+        ));
+        assert_eq!(encode(&untouched, &meta), before);
+
         // A broken link (missing base file) is an error, not silence.
         std::fs::remove_dir_all(set_dir(&dir, 4)).unwrap();
         let mut broken = mini_sim();
@@ -1222,6 +1052,27 @@ mod tests {
             Err(CheckpointError::Io(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Both formats, byte for byte: lengths and FNV-1a of a full snapshot
+    /// and of an increment three steps after its base, computed at the
+    /// commit before full and incremental files became one container.
+    #[test]
+    fn on_disk_bytes_are_pinned() {
+        let fnv = |bytes: &[u8]| {
+            let mut h = Fnv::new();
+            h.write(bytes);
+            h.finish()
+        };
+        let mut sim = mini_sim();
+        sim.run_steps(2);
+        let meta = RankMeta::single(sim.cfg.shape);
+        let full = encode(&sim, &meta);
+        let base = IncrementalBase::capture(&sim);
+        sim.run_steps(3);
+        let inc = encode_incremental(&sim, &meta, &base);
+        assert_eq!((full.len(), fnv(&full)), (1297, 0x60b1_a88e_3edb_010e));
+        assert_eq!((inc.len(), fnv(&inc)), (1547, 0x3251_746b_f30d_8832));
     }
 
     #[test]

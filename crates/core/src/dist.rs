@@ -35,12 +35,10 @@ pub struct CheckpointConfig {
     /// Before stepping, restore from the newest complete set under `dir`
     /// (start from the initial conditions if there is none).
     pub resume: bool,
-    /// Write dirty-row increments ([`checkpoint::save_incremental`])
-    /// instead of full snapshots whenever a base exists, falling back to a
-    /// full snapshot every `full_every` increments.
-    pub incremental: bool,
-    /// Consecutive increments allowed before the next write is forced to
-    /// be a full snapshot, bounding restore-chain length.
+    /// Consecutive dirty-row increments ([`checkpoint::save_incremental`])
+    /// allowed before the next write is forced to be a full snapshot,
+    /// bounding restore-chain length. The first write of a run, which has
+    /// no base to diff against, is always full.
     pub full_every: u64,
 }
 
@@ -51,7 +49,6 @@ impl CheckpointConfig {
             every: 0,
             final_checkpoint: true,
             resume: false,
-            incremental: true,
             full_every: 4,
         }
     }
@@ -63,11 +60,6 @@ impl CheckpointConfig {
 
     pub fn resume(mut self, resume: bool) -> Self {
         self.resume = resume;
-        self
-    }
-
-    pub fn incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
         self
     }
 
@@ -242,23 +234,6 @@ pub fn step_ops(
     ops
 }
 
-/// The phase's kernel tapes in execution order (fluxes before the update),
-/// borrowed from the kernel set.
-fn variant_tapes(ks: &KernelSet, variant: Variant, phase: Family) -> Vec<&Tape> {
-    let (full, split) = match phase {
-        Family::Phi => (&ks.phi_full, &ks.phi_split),
-        Family::Mu => (&ks.mu_full, &ks.mu_split),
-    };
-    match variant {
-        Variant::Full => vec![full],
-        Variant::Split => split
-            .flux_tapes
-            .iter()
-            .chain(std::iter::once(&split.update))
-            .collect(),
-    }
-}
-
 /// Exchanged (cell-centred) fields a phase's tapes load with nonzero ghost
 /// reach, and the exchanged fields they store — the inputs of the
 /// stale-ghost state machine. Staggered flux temporaries are block-local
@@ -330,8 +305,7 @@ pub fn step_protocol_model(
                 variant,
                 part,
             } => {
-                let (ghost_reads, writes) =
-                    phase_comm_footprint(ks, &variant_tapes(ks, *variant, *phase));
+                let (ghost_reads, writes) = phase_comm_footprint(ks, &ks.tapes(*phase, *variant));
                 events.push(match part {
                     Part::Interior => E::Interior { writes },
                     Part::Frontier => E::Frontier {
@@ -492,7 +466,7 @@ pub(crate) fn build_step_plan(
         let Some(variant) = interior else {
             return PhaseWidths::EVERYTHING;
         };
-        let tapes = variant_tapes(ks, variant, phase);
+        let tapes = ks.tapes(phase, variant);
         let mut w = phase_widths(p, ks, &tapes);
         assert_frontier_sound(p, ks, &tapes, w);
         for d in 0..k {
@@ -610,7 +584,7 @@ pub(crate) fn dist_step(
                     rank,
                 );
                 let t0 = std::time::Instant::now();
-                for tape in variant_tapes(kernels, *variant, *phase) {
+                for tape in kernels.tapes(*phase, *variant) {
                     let ext = pf_backend::extended_range(tape, sim.cfg.shape);
                     let (interior, shells) = split_frontier(ext, w.lo, w.hi);
                     let regions = match part {
@@ -766,21 +740,13 @@ where
                         let path = checkpoint::rank_file(&ck.dir, sim.step_count, comm.rank());
                         let _span = pf_trace::span_at("dist.checkpoint_write", comm.rank());
                         let t0 = std::time::Instant::now();
-                        let incremental = ck.incremental
-                            && ckpt_base.is_some()
-                            && incs_since_full < ck.full_every.max(1);
-                        if let (true, Some(base)) = (incremental, &ckpt_base) {
-                            checkpoint::save_incremental(&sim, &meta, base, &path).unwrap_or_else(
-                                |e| panic!("checkpoint to {}: {e}", path.display()),
-                            );
-                            incs_since_full += 1;
-                        } else {
-                            checkpoint::save(&sim, &meta, &path).unwrap_or_else(|e| {
-                                panic!("checkpoint to {}: {e}", path.display())
-                            });
-                            incs_since_full = 0;
-                        }
-                        ckpt_base = Some(checkpoint::IncrementalBase::capture(&sim));
+                        let base = ckpt_base
+                            .as_ref()
+                            .filter(|_| incs_since_full < ck.full_every.max(1));
+                        incs_since_full = base.map_or(0, |_| incs_since_full + 1);
+                        let written = checkpoint::save_over(&sim, &meta, base, &path)
+                            .unwrap_or_else(|e| panic!("checkpoint to {}: {e}", path.display()));
+                        ckpt_base = Some(written);
                         // The step loop stalls for the whole write — that stall
                         // is the drain the I/O pricing model cares about.
                         pf_trace::gauge_at("dist.checkpoint_drain_s", comm.rank())
@@ -1233,7 +1199,7 @@ mod tests {
     fn narrowed_frontier_width_is_rejected() {
         let p = crate::kernels::tests::mini_model();
         let ks = generate_kernels(&p, &GenOptions::default());
-        let tapes = variant_tapes(&ks, Variant::Full, Family::Mu);
+        let tapes = ks.tapes(Family::Mu, Variant::Full);
         let mut w = phase_widths(&p, &ks, &tapes);
         assert_frontier_sound(&p, &ks, &tapes, w);
         w.lo[0] -= 1;
@@ -1284,9 +1250,10 @@ mod tests {
             let name = format!("exec.launches.{}", tape.name);
             report.counters.get(&name).map_or(0, |c| c.total)
         };
-        for tape in variant_tapes(&ks, dcfg.phi_variant, Family::Phi)
+        for tape in ks
+            .tapes(Family::Phi, dcfg.phi_variant)
             .into_iter()
-            .chain(variant_tapes(&ks, dcfg.mu_variant, Family::Mu))
+            .chain(ks.tapes(Family::Mu, dcfg.mu_variant))
         {
             assert_eq!(launches(tape), 2 * steps, "{}", tape.name);
         }

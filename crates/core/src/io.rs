@@ -22,15 +22,11 @@ pub fn to_vtk(name: &str, arr: &FieldArray, spacing: f64) -> String {
     let _ = writeln!(out, "ORIGIN 0 0 0");
     let _ = writeln!(out, "SPACING {spacing} {spacing} {spacing}");
     let _ = writeln!(out, "POINT_DATA {}", s[0] * s[1] * s[2]);
-    for comp in 0..arr.components() {
+    for (comp, block) in arr.read_interior().chunks(s[0] * s[1] * s[2]).enumerate() {
         let _ = writeln!(out, "SCALARS {name}_{comp} double 1");
         let _ = writeln!(out, "LOOKUP_TABLE default");
-        for z in 0..s[2] as isize {
-            for y in 0..s[1] as isize {
-                for x in 0..s[0] as isize {
-                    let _ = writeln!(out, "{}", arr.get(comp, x, y, z));
-                }
-            }
+        for v in block {
+            let _ = writeln!(out, "{v}");
         }
     }
     out

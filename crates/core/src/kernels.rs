@@ -8,6 +8,8 @@
 
 use crate::model::{build_model, ModelExprs, ModelFields};
 use crate::params::ModelParams;
+use crate::sim::Variant;
+use crate::tune::Family;
 use pf_analyze::{analyze, check_split_disjoint, AnalyzeOptions, FieldAlloc, SuiteReport};
 use pf_ir::{generate, GenOptions, Tape};
 use pf_stencil::{discretize_full, split_fluxes, Discretization, StencilKernel};
@@ -33,6 +35,32 @@ pub struct KernelSet {
     pub mu_full: Tape,
     pub phi_split: SplitTapes,
     pub mu_split: SplitTapes,
+}
+
+impl KernelSet {
+    /// The tapes of one family's variant in execution order: the face
+    /// (flux) kernels before the update.
+    pub fn tapes(&self, family: Family, variant: Variant) -> Vec<&Tape> {
+        let (full, split) = match family {
+            Family::Phi => (&self.phi_full, &self.phi_split),
+            Family::Mu => (&self.mu_full, &self.mu_split),
+        };
+        match variant {
+            Variant::Full => vec![full],
+            Variant::Split => split.flux_tapes.iter().chain([&split.update]).collect(),
+        }
+    }
+
+    /// Every tape of the set: both full kernels, then both split chains.
+    pub fn all_tapes(&self) -> Vec<&Tape> {
+        let mut tapes = Vec::new();
+        for variant in [Variant::Full, Variant::Split] {
+            for family in [Family::Phi, Family::Mu] {
+                tapes.extend(self.tapes(family, variant));
+            }
+        }
+        tapes
+    }
 }
 
 fn full_kernel(
@@ -173,9 +201,8 @@ pub(crate) fn alloc_table(p: &ModelParams, ks: &KernelSet, tape: &Tape) -> Vec<F
 /// temporaries are block-local and excluded.
 pub fn required_halo_width(ks: &KernelSet) -> usize {
     let stag = [ks.phi_split.stag_field, ks.mu_split.stag_field];
-    let tapes = all_tapes(ks);
     let mut width = 0;
-    for tape in tapes {
+    for tape in ks.all_tapes() {
         let fp = pf_analyze::Footprint::of(tape);
         for (slot, f) in tape.fields.iter().enumerate() {
             if stag.contains(f) {
@@ -187,22 +214,13 @@ pub fn required_halo_width(ks: &KernelSet) -> usize {
     width
 }
 
-fn all_tapes(ks: &KernelSet) -> Vec<&Tape> {
-    let mut tapes: Vec<&Tape> = vec![&ks.phi_full, &ks.mu_full];
-    for split in [&ks.phi_split, &ks.mu_split] {
-        tapes.extend(split.flux_tapes.iter());
-        tapes.push(&split.update);
-    }
-    tapes
-}
-
 /// Run the full pf-analyze suite (SSA, halo fit against the real
 /// allocation shapes, intra-sweep hazards, value lints, contract-seeded
 /// interval dataflow, split-group store disjointness) over every kernel
 /// of `ks`.
 pub fn verify_kernel_set(p: &ModelParams, ks: &KernelSet) -> SuiteReport {
     let mut suite = SuiteReport::default();
-    for tape in all_tapes(ks) {
+    for tape in ks.all_tapes() {
         let opts = AnalyzeOptions {
             allocs: Some(alloc_table(p, ks, tape)),
             hazards: true,
@@ -211,12 +229,8 @@ pub fn verify_kernel_set(p: &ModelParams, ks: &KernelSet) -> SuiteReport {
         };
         suite.push(analyze(tape, &opts));
     }
-    for split in [&ks.phi_split, &ks.mu_split] {
-        let group: Vec<&Tape> = split
-            .flux_tapes
-            .iter()
-            .chain(std::iter::once(&split.update))
-            .collect();
+    for family in [Family::Phi, Family::Mu] {
+        let group = ks.tapes(family, Variant::Split);
         suite.group_diagnostics.extend(check_split_disjoint(&group));
     }
     suite

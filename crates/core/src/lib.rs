@@ -24,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
+mod bytes;
 pub mod checkpoint;
 pub mod dist;
 pub mod io;

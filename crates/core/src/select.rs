@@ -11,6 +11,7 @@
 
 use crate::kernels::KernelSet;
 use crate::sim::Variant;
+use crate::tune::Family;
 use pf_backend::ExecMode;
 use pf_ir::Tape;
 use pf_machine::CpuSocket;
@@ -120,22 +121,13 @@ pub fn select_variants(
     block: [usize; 3],
 ) -> VariantChoice {
     let rate = |tapes: &[&Tape]| ecm_multi(tapes, sock, block).mlups(sock.freq_ghz, cores);
-    let phi_split_tapes: Vec<&Tape> = ks
-        .phi_split
-        .flux_tapes
-        .iter()
-        .chain([&ks.phi_split.update])
-        .collect();
-    let mu_split_tapes: Vec<&Tape> = ks
-        .mu_split
-        .flux_tapes
-        .iter()
-        .chain([&ks.mu_split.update])
-        .collect();
-    let phi_split = rate(&phi_split_tapes);
-    let phi_full = rate(&[&ks.phi_full]);
-    let mu_split = rate(&mu_split_tapes);
-    let mu_full = rate(&[&ks.mu_full]);
+    let [phi_full, phi_split, mu_full, mu_split] = [
+        (Family::Phi, Variant::Full),
+        (Family::Phi, Variant::Split),
+        (Family::Mu, Variant::Full),
+        (Family::Mu, Variant::Split),
+    ]
+    .map(|(family, variant)| rate(&ks.tapes(family, variant)));
     VariantChoice {
         phi: if phi_split >= phi_full {
             Variant::Split

@@ -14,6 +14,7 @@
 
 use crate::kernels::{KernelSet, SplitTapes};
 use crate::params::ModelParams;
+use crate::tune::Family;
 use pf_backend::{run_kernel, ExecMode, FieldStore, RunCtx};
 use pf_fields::{FieldArray, Layout};
 use pf_ir::Tape;
@@ -24,6 +25,23 @@ use pf_symbolic::Field;
 pub enum Variant {
     Full,
     Split,
+}
+
+impl Variant {
+    /// The byte a variant is stored as in checkpoints and tuning-cache
+    /// entries.
+    pub(crate) fn code(self) -> u8 {
+        match self {
+            Variant::Full => 0,
+            Variant::Split => 1,
+        }
+    }
+
+    pub(crate) fn from_code(code: u8) -> Option<Variant> {
+        [Variant::Full, Variant::Split]
+            .into_iter()
+            .find(|v| v.code() == code)
+    }
 }
 
 /// Boundary condition per dimension.
@@ -114,40 +132,34 @@ impl Simulation {
     }
 
     /// Set φ from a per-cell closure returning the phase vector.
-    pub fn init_phi(&mut self, mut f: impl FnMut(usize, usize, usize) -> Vec<f64>) {
+    pub fn init_phi(&mut self, f: impl FnMut(usize, usize, usize) -> Vec<f64>) {
         let field = self.kernels.fields.phi_src;
-        let n = self.params.phases;
-        let shape = self.cfg.shape;
-        let arr = self.store.get_mut(field);
-        for z in 0..shape[2] {
-            for y in 0..shape[1] {
-                for x in 0..shape[0] {
-                    let v = f(x, y, z);
-                    assert_eq!(v.len(), n);
-                    for (alpha, val) in v.iter().enumerate() {
-                        arr.set(alpha, x as isize, y as isize, z as isize, *val);
-                    }
-                }
-            }
-        }
+        self.init_field(field, f);
         self.project_simplex(field);
     }
 
     /// Set µ from a per-cell closure.
-    pub fn init_mu(&mut self, mut f: impl FnMut(usize, usize, usize) -> Vec<f64>) {
-        let field = self.kernels.fields.mu_src;
-        let shape = self.cfg.shape;
+    pub fn init_mu(&mut self, f: impl FnMut(usize, usize, usize) -> Vec<f64>) {
+        self.init_field(self.kernels.fields.mu_src, f);
+    }
+
+    /// Set every interior cell of `field` to the component vector `f`
+    /// returns for it, asking in z, y, x-fastest order. The values are
+    /// staged in [`FieldArray::read_box`] order, so the array is only
+    /// written.
+    fn init_field(&mut self, field: Field, mut f: impl FnMut(usize, usize, usize) -> Vec<f64>) {
         let arr = self.store.get_mut(field);
-        for z in 0..shape[2] {
-            for y in 0..shape[1] {
-                for x in 0..shape[0] {
-                    let v = f(x, y, z);
-                    for (i, val) in v.iter().enumerate() {
-                        arr.set(i, x as isize, y as isize, z as isize, *val);
-                    }
-                }
+        let [nx, ny, _] = arr.shape();
+        let (cells, comps) = (arr.interior().cells(), arr.components());
+        let mut vals = vec![0.0; comps * cells];
+        for i in 0..cells {
+            let v = f(i % nx, i / nx % ny, i / (nx * ny));
+            assert_eq!(v.len(), comps, "{} components per cell", arr.name());
+            for (c, val) in v.iter().enumerate() {
+                vals[c * cells + i] = *val;
             }
         }
+        arr.write_box(arr.interior(), &vals);
     }
 
     /// Apply the configured boundary conditions to one field's ghosts.
@@ -224,40 +236,49 @@ impl Simulation {
         self.run(&split.update);
     }
 
+    /// Run one family's kernel over this block, its tapes borrowed from the
+    /// kernel set.
+    fn sweep(&mut self, family: Family, variant: Variant) {
+        let ctx = self.ctx();
+        for tape in self.kernels.tapes(family, variant) {
+            run_kernel(
+                tape,
+                &mut self.store,
+                &[],
+                self.cfg.shape,
+                &ctx,
+                self.cfg.mode,
+            );
+        }
+    }
+
     /// Gibbs-simplex projection: clamp φ_α to [0, 1] and renormalize the
     /// sum to 1 (the obstacle potential is +∞ outside the simplex; the
     /// standard treatment projects after each explicit step).
     pub fn project_simplex(&mut self, field: Field) {
-        let n = self.params.phases;
-        let shape = self.cfg.shape;
+        let liquid = self.params.liquid_phase;
         let arr = self.store.get_mut(field);
-        for z in 0..shape[2] as isize {
-            for y in 0..shape[1] as isize {
-                for x in 0..shape[0] as isize {
-                    let mut vals: Vec<f64> = (0..n)
-                        .map(|a| arr.get(a, x, y, z).clamp(0.0, 1.0))
-                        .collect();
-                    let sum: f64 = vals.iter().sum();
-                    if sum > 1e-12 {
-                        for v in vals.iter_mut() {
-                            *v /= sum;
-                        }
-                    } else {
-                        // Degenerate cell: fall back to pure liquid.
-                        for (a, v) in vals.iter_mut().enumerate() {
-                            *v = if a == self.params.liquid_phase {
-                                1.0
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                    for (a, v) in vals.iter().enumerate() {
-                        arr.set(a, x, y, z, *v);
-                    }
-                }
+        let cells = arr.interior().cells();
+        let mut vals = arr.read_interior();
+        let mut cell = vec![0.0; arr.components()];
+        for i in 0..cells {
+            for (a, v) in cell.iter_mut().enumerate() {
+                *v = vals[a * cells + i].clamp(0.0, 1.0);
+            }
+            let sum: f64 = cell.iter().sum();
+            // A degenerate cell (nothing left after clamping) becomes pure
+            // liquid.
+            for (a, v) in cell.iter().enumerate() {
+                vals[a * cells + i] = if sum > 1e-12 {
+                    v / sum
+                } else if a == liquid {
+                    1.0
+                } else {
+                    0.0
+                };
             }
         }
+        arr.write_box(arr.interior(), &vals);
     }
 
     /// One timestep of Algorithm 1.
@@ -268,23 +289,13 @@ impl Simulation {
         self.apply_bc(f.mu_src);
 
         // 1: φ update.
-        let phi_split = self.kernels.phi_split.clone();
-        let phi_full = self.kernels.phi_full.clone();
-        match self.cfg.phi_variant {
-            Variant::Full => self.run(&phi_full),
-            Variant::Split => self.run_split(&phi_split),
-        }
+        self.sweep(Family::Phi, self.cfg.phi_variant);
         self.project_simplex(f.phi_dst);
         // 2: boundary handling on φ_dst (the µ kernel reads its neighbours).
         self.apply_bc(f.phi_dst);
 
         // 3: µ update.
-        let mu_split = self.kernels.mu_split.clone();
-        let mu_full = self.kernels.mu_full.clone();
-        match self.cfg.mu_variant {
-            Variant::Full => self.run(&mu_full),
-            Variant::Split => self.run_split(&mu_split),
-        }
+        self.sweep(Family::Mu, self.cfg.mu_variant);
 
         // 5: swap.
         self.store.swap(f.phi_src, f.phi_dst);
@@ -304,35 +315,6 @@ impl Simulation {
 
     pub fn mu(&self) -> &FieldArray {
         self.store.get(self.kernels.fields.mu_src)
-    }
-
-    /// The Philox counter state of the *next* step — together with the
-    /// field interiors, the complete persistent RNG state (§3.3: the
-    /// generator itself is stateless).
-    pub fn rng_state(&self) -> pf_rng::CounterState {
-        pf_rng::CounterState::new(self.cfg.seed, self.step_count)
-    }
-
-    /// Write this block's restart state to `path` atomically. Single-block
-    /// convenience over [`crate::checkpoint::save`]; distributed runs pass
-    /// their decomposition's [`crate::checkpoint::RankMeta`] instead.
-    pub fn save_checkpoint(
-        &self,
-        path: &std::path::Path,
-    ) -> Result<(), crate::checkpoint::CheckpointError> {
-        let meta = crate::checkpoint::RankMeta::single(self.cfg.shape);
-        crate::checkpoint::save(self, &meta, path)
-    }
-
-    /// Restore this block from `path`, verifying it matches this
-    /// simulation's parameters and configuration. The simulation is left
-    /// untouched on error.
-    pub fn restore_checkpoint(
-        &mut self,
-        path: &std::path::Path,
-    ) -> Result<(), crate::checkpoint::CheckpointError> {
-        let meta = crate::checkpoint::RankMeta::single(self.cfg.shape);
-        crate::checkpoint::load(self, &meta, path)
     }
 }
 
@@ -377,6 +359,58 @@ mod tests {
                 assert!((a + b - 1.0).abs() < 1e-12, "sum violated: {}", a + b);
             }
         }
+    }
+
+    /// The projection as it was written per cell (one `Vec` each), kept as
+    /// the reference for the row-walking one.
+    fn project_cell_reference(arr: &mut FieldArray, liquid: usize, [x, y, z]: [isize; 3]) {
+        let n = arr.components();
+        let mut vals: Vec<f64> = (0..n)
+            .map(|a| arr.get(a, x, y, z).clamp(0.0, 1.0))
+            .collect();
+        let sum: f64 = vals.iter().sum();
+        if sum > 1e-12 {
+            for v in vals.iter_mut() {
+                *v /= sum;
+            }
+        } else {
+            for (a, v) in vals.iter_mut().enumerate() {
+                *v = if a == liquid { 1.0 } else { 0.0 };
+            }
+        }
+        for (a, v) in vals.iter().enumerate() {
+            arr.set(a, x, y, z, *v);
+        }
+    }
+
+    #[test]
+    fn projection_matches_the_per_cell_reference_bitwise() {
+        let mut sim = mini_sim([7, 5, 2]);
+        let field = sim.kernels.fields.phi_dst;
+        // Out-of-simplex, negative, all-zero and sub-threshold cells.
+        let raw = |x: usize, y: usize, z: usize| match (x + 3 * y + 5 * z) % 6 {
+            0 => [0.0, 0.0],
+            1 => [1.7, 0.4],
+            2 => [-0.3, 0.25],
+            3 => [-1.0, -2.0],
+            4 => [1e-13, 0.0],
+            _ => [0.1 * x as f64, 0.37],
+        };
+        for a in 0..2 {
+            sim.store
+                .get_mut(field)
+                .fill_with(a, |x, y, z| raw(x, y, z)[a]);
+        }
+        let mut want = sim.store.get(field).clone();
+        for z in 0..2 {
+            for y in 0..5 {
+                for x in 0..7 {
+                    project_cell_reference(&mut want, sim.params.liquid_phase, [x, y, z]);
+                }
+            }
+        }
+        sim.project_simplex(field);
+        assert_eq!(sim.store.get(field).data(), want.data());
     }
 
     #[test]

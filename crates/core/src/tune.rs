@@ -34,6 +34,7 @@
 //! trade LICM for live-range width) against the occupancy payoff instead
 //! of applying them unconditionally.
 
+use crate::bytes::{seal, unseal, Fnv, Reader, Short};
 use crate::kernels::KernelSet;
 use crate::params::ModelParams;
 use crate::select::{default_exec_mode, select_variants};
@@ -41,7 +42,7 @@ use crate::sim::{SimConfig, Simulation, Variant};
 use pf_backend::ExecMode;
 use pf_ir::Tape;
 use pf_machine::{CpuSocket, Gpu};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 // ---------------------------------------------------------------------------
@@ -56,39 +57,17 @@ pub const TUNE_FORMAT_VERSION: u32 = 1;
 
 const TUNE_MAGIC: &[u8; 8] = b"PFTUNE01";
 
-/// FNV-1a — the same checksum primitive the checkpoint format uses.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Identity of one kernel family's full search space: the structural hashes
 /// of *both* variants' canonical tapes. Any change to the generated code —
 /// model parameters, discretization, IR pipeline — moves this fingerprint
 /// and silently invalidates stale tuning entries.
 pub fn family_fingerprint(ks: &KernelSet, family: Family) -> u64 {
     let mut h = Fnv::new();
-    let (full, split) = match family {
-        Family::Phi => (&ks.phi_full, &ks.phi_split),
-        Family::Mu => (&ks.mu_full, &ks.mu_split),
-    };
-    h.write(&full.structural_hash().to_le_bytes());
-    for t in &split.flux_tapes {
-        h.write(&t.structural_hash().to_le_bytes());
+    for variant in [Variant::Full, Variant::Split] {
+        for t in ks.tapes(family, variant) {
+            h.write_u64(t.structural_hash());
+        }
     }
-    h.write(&split.update.structural_hash().to_le_bytes());
     h.finish()
 }
 
@@ -148,6 +127,12 @@ pub enum TuneCacheError {
     Malformed(&'static str),
 }
 
+impl From<Short> for TuneCacheError {
+    fn from(_: Short) -> Self {
+        TuneCacheError::Truncated
+    }
+}
+
 impl std::fmt::Display for TuneCacheError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -164,21 +149,6 @@ impl std::fmt::Display for TuneCacheError {
             TuneCacheError::KeyMismatch => write!(f, "entry written for a different key"),
             TuneCacheError::Malformed(what) => write!(f, "malformed field: {what}"),
         }
-    }
-}
-
-fn encode_variant(v: Variant) -> u8 {
-    match v {
-        Variant::Full => 0,
-        Variant::Split => 1,
-    }
-}
-
-fn decode_variant(b: u8) -> Result<Variant, TuneCacheError> {
-    match b {
-        0 => Ok(Variant::Full),
-        1 => Ok(Variant::Split),
-        _ => Err(TuneCacheError::Malformed("variant")),
     }
 }
 
@@ -359,7 +329,7 @@ fn encode_entry(machine_fp: u64, tapes_fp: u64, shape: [usize; 3], e: &TuneEntry
     for d in shape {
         out.extend_from_slice(&(d as u64).to_le_bytes());
     }
-    out.push(encode_variant(e.variant));
+    out.push(e.variant.code());
     out.push(encode_mode(e.mode));
     for d in e.block {
         out.extend_from_slice(&(d as u64).to_le_bytes());
@@ -370,38 +340,8 @@ fn encode_entry(machine_fp: u64, tapes_fp: u64, shape: [usize; 3], e: &TuneEntry
     out.extend_from_slice(&(e.strip_width as u32).to_le_bytes());
     out.extend_from_slice(&e.measured_mlups.to_bits().to_le_bytes());
     out.extend_from_slice(&e.predicted_mlups.to_bits().to_le_bytes());
-    let mut h = Fnv::new();
-    h.write(&out);
-    out.extend_from_slice(&h.finish().to_le_bytes());
+    seal(&mut out);
     out
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], TuneCacheError> {
-        if self.pos + n > self.buf.len() {
-            return Err(TuneCacheError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, TuneCacheError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, TuneCacheError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, TuneCacheError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, TuneCacheError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
 }
 
 fn read_entry(
@@ -410,14 +350,8 @@ fn read_entry(
     tapes_fp: u64,
     shape: [usize; 3],
 ) -> Result<TuneEntry, TuneCacheError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(TuneCacheError::Io)?;
-    let mut c = Cursor {
-        buf: &bytes,
-        pos: 0,
-    };
+    let bytes = std::fs::read(path).map_err(TuneCacheError::Io)?;
+    let mut c = Reader::new(&bytes);
     if c.take(8)? != TUNE_MAGIC {
         return Err(TuneCacheError::BadMagic);
     }
@@ -426,16 +360,10 @@ fn read_entry(
         return Err(TuneCacheError::UnsupportedVersion(version));
     }
     // Whole-file checksum over everything before the trailing 8 bytes.
-    if bytes.len() < 8 + c.pos {
+    if bytes.len() < 8 + c.pos() {
         return Err(TuneCacheError::Truncated);
     }
-    let body_len = bytes.len() - 8;
-    let mut h = Fnv::new();
-    h.write(&bytes[..body_len]);
-    let want = u64::from_le_bytes(bytes[body_len..].try_into().unwrap());
-    if h.finish() != want {
-        return Err(TuneCacheError::ChecksumMismatch);
-    }
+    unseal(&bytes)?.ok_or(TuneCacheError::ChecksumMismatch)?;
     if c.u64()? != machine_fp || c.u64()? != tapes_fp {
         return Err(TuneCacheError::KeyMismatch);
     }
@@ -444,7 +372,7 @@ fn read_entry(
             return Err(TuneCacheError::KeyMismatch);
         }
     }
-    let variant = decode_variant(c.u8()?)?;
+    let variant = Variant::from_code(c.u8()?).ok_or(TuneCacheError::Malformed("variant"))?;
     let mode = decode_mode(c.u8()?)?;
     let mut block = [0usize; 3];
     for b in &mut block {
@@ -692,23 +620,6 @@ pub struct FamilyTuneReport {
     pub all: Vec<Candidate>,
 }
 
-fn family_variant_tapes(ks: &KernelSet, family: Family, variant: Variant) -> Vec<Tape> {
-    match (family, variant) {
-        (Family::Phi, Variant::Full) => vec![ks.phi_full.clone()],
-        (Family::Mu, Variant::Full) => vec![ks.mu_full.clone()],
-        (Family::Phi, Variant::Split) => {
-            let mut v = ks.phi_split.flux_tapes.clone();
-            v.push(ks.phi_split.update.clone());
-            v
-        }
-        (Family::Mu, Variant::Split) => {
-            let mut v = ks.mu_split.flux_tapes.clone();
-            v.push(ks.mu_split.update.clone());
-            v
-        }
-    }
-}
-
 /// (y,z) blocking tiles to price, clamped to the shape. x is never blocked
 /// (unit stride).
 fn candidate_blocks(shape: [usize; 3]) -> Vec<[usize; 3]> {
@@ -835,7 +746,9 @@ fn tune_family(
             Variant::Split => &LOOP_ORDERS[..1],
         };
         for &order in orders {
-            let mut tapes = family_variant_tapes(ks, family, variant);
+            // The only site that edits its tapes (loop order), so the only
+            // one that owns them.
+            let mut tapes: Vec<Tape> = ks.tapes(family, variant).into_iter().cloned().collect();
             if variant == Variant::Full {
                 for t in &mut tapes {
                     pf_ir::apply_loop_order(t, order);
@@ -880,7 +793,7 @@ fn tune_family(
         Family::Mu => stat.mu,
     };
     let static_mode = default_exec_mode(shape);
-    let default_order = family_variant_tapes(ks, family, static_variant)[0].loop_order;
+    let default_order = ks.tapes(family, static_variant)[0].loop_order;
     configs.sort_by(|a, b| b.0.predicted_mlups.total_cmp(&a.0.predicted_mlups));
     let is_static = |c: &Candidate| c.variant == static_variant && c.loop_order == default_order;
     let mut shortlist: Vec<usize> = (0..configs.len().min(opts.top_k)).collect();
@@ -1169,8 +1082,7 @@ mod tests {
         let sock = skylake_8174();
         for family in [Family::Phi, Family::Mu] {
             for variant in [Variant::Full, Variant::Split] {
-                let tapes = family_variant_tapes(&ks, family, variant);
-                let refs: Vec<&Tape> = tapes.iter().collect();
+                let refs = ks.tapes(family, variant);
                 for block in candidate_blocks([16, 16, 4]) {
                     for width in candidate_widths(&sock) {
                         let m = pf_perfmodel::price_candidate(&refs, &sock, block, width, 1);

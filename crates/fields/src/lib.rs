@@ -14,5 +14,5 @@
 mod array;
 mod staggered;
 
-pub use array::{FieldArray, Layout, SIMD_F64_LANES};
+pub use array::{Box3, FieldArray, Layout, Slab, SIMD_F64_LANES};
 pub use staggered::StaggeredField;

@@ -17,7 +17,7 @@
 
 use crate::comm::Comm;
 use crate::decompose::Decomposition;
-use pf_fields::FieldArray;
+use pf_fields::{FieldArray, Slab};
 
 /// Communication options of Table 2.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,69 +56,18 @@ fn tag(dim: usize, side: i32, epoch: u64) -> u64 {
     (epoch << 20) | (BATCH_FIELD_TAG << 4) | ((dim as u64) << 1) | s
 }
 
-/// Extent iterated in the transverse dimensions of a face slab: the full
-/// ghosted range, so earlier phases' results propagate into edges/corners.
-fn transverse_range(arr: &FieldArray, d: usize) -> (isize, isize) {
-    let g = arr.ghost_layers() as isize;
-    (-g, arr.shape()[d] as isize + g)
-}
-
 /// Pack the interior cells adjacent to the `side` face of dimension `dim`
 /// (width = ghost layers), full ghosted extent transversally.
 pub fn pack_face(arr: &FieldArray, dim: usize, side: i32) -> Vec<f64> {
-    let g = arr.ghost_layers() as isize;
-    let n = arr.shape()[dim] as isize;
-    let own_range: Vec<isize> = if side < 0 {
-        (0..g).collect()
-    } else {
-        (n - g..n).collect()
-    };
     let mut out = Vec::new();
-    let (t0a, t1a) = transverse_range(arr, (dim + 1) % 3);
-    let (t0b, t1b) = transverse_range(arr, (dim + 2) % 3);
-    for comp in 0..arr.components() {
-        for &o in &own_range {
-            for a in t0a..t1a {
-                for b in t0b..t1b {
-                    let mut c = [0isize; 3];
-                    c[dim] = o;
-                    c[(dim + 1) % 3] = a;
-                    c[(dim + 2) % 3] = b;
-                    out.push(arr.get(comp, c[0], c[1], c[2]));
-                }
-            }
-        }
-    }
+    arr.read_box(arr.face(dim, side, Slab::Own), &mut out);
     out
 }
 
 /// Unpack a buffer received from the `side` neighbour into this block's
 /// ghost layers on that side.
 pub fn unpack_face(arr: &mut FieldArray, dim: usize, side: i32, data: &[f64]) {
-    let g = arr.ghost_layers() as isize;
-    let n = arr.shape()[dim] as isize;
-    let ghost_range: Vec<isize> = if side < 0 {
-        (-g..0).collect()
-    } else {
-        (n..n + g).collect()
-    };
-    let mut it = data.iter();
-    let (t0a, t1a) = transverse_range(arr, (dim + 1) % 3);
-    let (t0b, t1b) = transverse_range(arr, (dim + 2) % 3);
-    for comp in 0..arr.components() {
-        for &o in &ghost_range {
-            for a in t0a..t1a {
-                for b in t0b..t1b {
-                    let mut c = [0isize; 3];
-                    c[dim] = o;
-                    c[(dim + 1) % 3] = a;
-                    c[(dim + 2) % 3] = b;
-                    arr.set(comp, c[0], c[1], c[2], *it.next().expect("buffer size"));
-                }
-            }
-        }
-    }
-    assert!(it.next().is_none(), "buffer size mismatch");
+    arr.write_box(arr.face(dim, side, Slab::Ghost), data);
 }
 
 /// First dimension whose ghost fill has to wait for a remote message —
@@ -168,17 +117,6 @@ pub fn exchange_shape(dec: &Decomposition) -> [DimPhase; 3] {
     })
 }
 
-/// Elements one field contributes to a face message of `dim`: ghost
-/// width × full ghosted transverse extent × components — the exact length
-/// [`pack_face`] produces, used to split a batched buffer back into its
-/// per-field segments.
-fn face_len(arr: &FieldArray, dim: usize) -> usize {
-    let g = arr.ghost_layers();
-    let (a0, a1) = transverse_range(arr, (dim + 1) % 3);
-    let (b0, b1) = transverse_range(arr, (dim + 2) % 3);
-    arr.components() * g * (a1 - a0) as usize * (b1 - b0) as usize
-}
-
 /// Post both face sends of one dimension phase for a batch of fields
 /// (asynchronous: channel sends never block): one message per (neighbour,
 /// epoch) carrying every field's face buffer back to back, in batch order.
@@ -192,10 +130,9 @@ fn send_dim_batched(
     let rank = comm.rank();
     for side in [-1i32, 1] {
         if let Some(nb) = dec.neighbor(rank, dim, side) {
-            let total: usize = arrs.iter().map(|a| face_len(a, dim)).sum();
-            let mut buf = Vec::with_capacity(total);
+            let mut buf = Vec::new();
             for arr in arrs {
-                buf.extend(pack_face(arr, dim, side));
+                arr.read_box(arr.face(dim, side, Slab::Own), &mut buf);
             }
             let t = tag(dim, side, epoch);
             comm.send_batched(nb, t, buf, arrs.len());
@@ -220,8 +157,9 @@ fn recv_dim_batched(
             let buf = comm.recv(nb, t);
             let mut off = 0usize;
             for arr in arrs.iter_mut() {
-                let len = face_len(arr, dim);
-                unpack_face(arr, dim, side, &buf[off..off + len]);
+                let ghosts = arr.face(dim, side, Slab::Ghost);
+                let len = ghosts.cells() * arr.components();
+                arr.write_box(ghosts, &buf[off..off + len]);
                 off += len;
             }
             assert_eq!(off, buf.len(), "batched face buffer size mismatch");
@@ -258,7 +196,9 @@ fn exchange_dim_batched(
 /// batch order, so a batch of `n` fields costs 6 messages where `n`
 /// one-field batches cost `6 n` — and leaves bitwise the same ghosts.
 /// Non-periodic boundaries without a neighbour are skipped — physical
-/// boundary conditions are the caller's responsibility.
+/// boundary conditions are the caller's responsibility. `_opts` is ignored:
+/// every exchange is batched, and overlap is the caller splitting
+/// `begin`/`finish`; the parameter stays for callers that pass it.
 pub fn exchange_halo_batched(
     comm: &mut Comm,
     dec: &Decomposition,

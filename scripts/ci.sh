@@ -31,6 +31,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== benchmark/ builds and passes its smoke against the crates =="
+# benchmark/ is its own workspace (path deps into crates/), so nothing
+# above compiles it: a signature it depends on would otherwise first be
+# missed by the benchmark driver. tests/smoke.rs drives `run --smoke` four
+# times (untraced, one workload, traced twice), each under 30 s.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== emitted C through the host C compiler =="
 # tests/op_table.rs skips this check when there is no `cc`; the CI image
 # has one, so a skip here must be loud, like the native-smoke skip below.
