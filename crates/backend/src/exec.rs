@@ -1,9 +1,10 @@
 //! The native kernel executor.
 //!
 //! Runs a compiled tape over a block: the moral equivalent of the paper's
-//! generated C/OpenMP code. Loads and stores are resolved to (array, linear
-//! offset) pairs — once per (kernel, storage geometry), the resulting
-//! [`Plan`] is cached — and the spatial loops then execute the tape's level
+//! generated C/OpenMP code. A tape is bound to its storage once
+//! ([`Launch::bind`]: loads and stores resolved to (array, linear offset)
+//! pairs, every launch gate proved, the engine chosen) and then launched
+//! many times ([`Launch::run`]); the spatial loops execute the tape's level
 //! sections at the right loop depths (LICM hoisting). Two loop drivers
 //! interpret the tape: serial, and the strip-mined vectorized engine in
 //! [`crate::vector`] (the paper's explicitly vectorized kernels, §3.5),
@@ -15,17 +16,18 @@
 //! destination arrays through a shared pointer ([`RawSlice`]), and
 //! [`crate::native`] calls into generated code. The disjointness invariant —
 //! every store hits the centre cell along the outer loop dimension, so two
-//! outer indices can never write the same address — is checked before any
-//! memory is touched; violations surface as a typed [`ExecError`] (and
-//! [`run_kernel`] falls back to serial execution instead of racing).
+//! outer indices can never write the same address — is checked at bind,
+//! before any memory is touched; violations surface as a typed [`ExecError`]
+//! (and [`Launch::bind_or_fall_back`] binds the serial engine instead of
+//! racing).
 
+use crate::native::PfKernelFn;
 use crate::store::FieldStore;
 use pf_fields::FieldArray;
 use pf_grid::IterRegion;
 use pf_ir::{Arith, Tape, TapeOp};
 use pf_rng::CellRng;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use pf_symbolic::Field;
 
 /// Per-launch execution context.
 #[derive(Clone, Copy, Debug)]
@@ -66,7 +68,8 @@ pub enum ExecMode {
     /// to a cdylib with the in-container `rustc` and dispatched through a
     /// typed C ABI (see [`crate::native`]). Artifacts are cached on disk
     /// keyed by [`Tape::structural_hash`]. Bitwise identical to `Serial`;
-    /// compile failures fall back to `Vectorized` via [`run_kernel`].
+    /// compile failures fall back to `Vectorized`
+    /// ([`Launch::bind_or_fall_back`]).
     Native,
 }
 
@@ -93,8 +96,8 @@ impl std::str::FromStr for ExecMode {
     }
 }
 
-/// Typed launch failure. Detected before any memory is written, so the
-/// bound storage is untouched when an error is returned.
+/// Typed bind or launch failure. Detected before any memory is written, so
+/// the bound storage is untouched when an error is returned.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecError {
     /// Vectorized execution partitions the outer spatial loop across
@@ -110,7 +113,7 @@ pub enum ExecError {
     },
     /// Native execution could not obtain a compiled kernel — `rustc`
     /// failed, the cache directory is unusable, or a freshly built artifact
-    /// would not load. Raised before any array is taken from the store.
+    /// would not load. Raised at bind.
     NativeCompile { kernel: String, detail: String },
     /// The compiled kernel rejected the launch argument pack (its built-in
     /// field/parameter arity checks run before any store is executed, so
@@ -162,6 +165,8 @@ pub(crate) enum Step {
     },
 }
 
+/// What the two interpreters run: the tape with every access resolved
+/// against the bound storage geometry.
 pub(crate) struct Plan {
     pub(crate) steps: Vec<Step>,
     /// level boundaries: steps[..sec[0]] = level 0, ..sec[1] = ≤1, etc.
@@ -171,33 +176,58 @@ pub(crate) struct Plan {
     pub(crate) read_base: Vec<isize>,
     pub(crate) write_strides: Vec<[isize; 3]>,
     pub(crate) write_base: Vec<isize>,
-    /// The tape's levels were non-monotone (a GPU-oriented reschedule), so
-    /// every hoisted section collapsed to per-cell execution.
-    pub(crate) licm_disabled: bool,
 }
 
-fn resolve(
-    tape: &Tape,
-    reads: &[&FieldArray],
-    writes: &[FieldArray],
-    read_map: &[usize],
-    write_map: &[usize],
-) -> Plan {
-    let mut steps = Vec::with_capacity(tape.instrs.len());
-    for op in &tape.instrs {
-        match *op {
+/// Where a field slot's array is during a run: borrowed from the store
+/// (`Read(i)` = the i-th read array) or taken out of it (`Write(i)`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Slot {
+    Read(usize),
+    Write(usize),
+}
+
+impl Slot {
+    fn is_write(self) -> bool {
+        matches!(self, Slot::Write(_))
+    }
+}
+
+/// The storage geometry of one bound array — everything a bind decision
+/// (halo fit, resolved offsets, the native argument pack) is derived from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Geom {
+    base: isize,
+    strides: [isize; 4],
+    shape: [usize; 3],
+    ghost: usize,
+}
+
+impl Geom {
+    fn of(arr: &FieldArray) -> Geom {
+        Geom {
+            base: arr.index(0, 0, 0, 0) as isize,
+            strides: arr.strides(),
+            shape: arr.shape(),
+            ghost: arr.ghost_layers(),
+        }
+    }
+}
+
+fn resolve(tape: &Tape, geom: &[Geom], slots: &[Slot]) -> Plan {
+    let at = |field: u16, comp: u16, off: [i16; 3]| {
+        let [sc, sx, sy, sz] = geom[field as usize].strides;
+        let delta =
+            comp as isize * sc + off[0] as isize * sx + off[1] as isize * sy + off[2] as isize * sz;
+        let (Slot::Read(arr) | Slot::Write(arr)) = slots[field as usize];
+        (arr as u16, delta)
+    };
+    let steps = tape
+        .instrs
+        .iter()
+        .map(|op| match *op {
             TapeOp::Load { field, comp, off } => {
-                let arr_idx = read_map[field as usize];
-                let arr = reads[arr_idx];
-                let [sc, sx, sy, sz] = arr.strides();
-                let delta = comp as isize * sc
-                    + off[0] as isize * sx
-                    + off[1] as isize * sy
-                    + off[2] as isize * sz;
-                steps.push(Step::Load {
-                    arr: arr_idx as u16,
-                    delta,
-                });
+                let (arr, delta) = at(field, comp, off);
+                Step::Load { arr, delta }
             }
             TapeOp::Store {
                 field,
@@ -205,154 +235,35 @@ fn resolve(
                 off,
                 val,
             } => {
-                let arr_idx = write_map[field as usize];
-                let arr = &writes[arr_idx];
-                let [sc, sx, sy, sz] = arr.strides();
-                let delta = comp as isize * sc
-                    + off[0] as isize * sx
-                    + off[1] as isize * sy
-                    + off[2] as isize * sz;
-                steps.push(Step::Store {
-                    arr: arr_idx as u16,
+                let (arr, delta) = at(field, comp, off);
+                Step::Store {
+                    arr,
                     delta,
                     val: val.0,
-                });
+                }
             }
-            other => steps.push(Step::Op(other)),
-        }
-    }
+            other => Step::Op(other),
+        })
+        .collect();
     let [s0, s1, s2] = tape.level_sections();
-    let base_of = |arr: &FieldArray| -> isize { arr.index(0, 0, 0, 0) as isize };
+    let side = |written: bool| -> (Vec<[isize; 3]>, Vec<isize>) {
+        slots
+            .iter()
+            .zip(geom)
+            .filter(|(s, _)| s.is_write() == written)
+            .map(|(_, g)| ([g.strides[1], g.strides[2], g.strides[3]], g.base))
+            .unzip()
+    };
+    let (read_strides, read_base) = side(false);
+    let (write_strides, write_base) = side(true);
     Plan {
         steps,
         sec: [s0, s1, s2, tape.instrs.len()],
-        read_strides: reads
-            .iter()
-            .map(|a| {
-                let [_, sx, sy, sz] = a.strides();
-                [sx, sy, sz]
-            })
-            .collect(),
-        read_base: reads.iter().map(|a| base_of(a)).collect(),
-        write_strides: writes
-            .iter()
-            .map(|a| {
-                let [_, sx, sy, sz] = a.strides();
-                [sx, sy, sz]
-            })
-            .collect(),
-        write_base: writes.iter().map(base_of).collect(),
-        licm_disabled: !tape.levels_monotone(),
+        read_strides,
+        read_base,
+        write_strides,
+        write_base,
     }
-}
-
-/// Cache key: the tape's structural fingerprint plus the bound storage
-/// geometry (base offset and strides per field slot). Two launches with
-/// equal keys resolve to byte-identical plans, so `resolve()` runs once per
-/// (kernel, block shape) instead of on every launch.
-#[derive(PartialEq, Eq, Hash)]
-struct PlanKey {
-    tape: u64,
-    geom: Vec<(isize, [isize; 4])>,
-}
-
-/// One cached plan, stamped with an insertion sequence number so the growth
-/// guard can evict the oldest half instead of dropping everything.
-struct PlanEntry {
-    seq: u64,
-    plan: Arc<Plan>,
-    /// Debug builds record the FNV fingerprint of the native source the
-    /// tape renders and re-check it on every hit: two distinct tapes
-    /// colliding on `structural_hash` would silently reuse each other's
-    /// plans (and compiled artifacts), so surface that loudly.
-    #[cfg(debug_assertions)]
-    src_fp: u64,
-}
-
-/// Plans keyed by structural fingerprint + storage geometry.
-struct PlanCache {
-    map: HashMap<PlanKey, PlanEntry>,
-    seq: u64,
-}
-
-/// Growth-guard threshold: reaching this many cached plans evicts the
-/// oldest-inserted half.
-const PLAN_CACHE_CAP: usize = 512;
-
-fn plan_cache() -> &'static Mutex<PlanCache> {
-    static CACHE: OnceLock<Mutex<PlanCache>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Mutex::new(PlanCache {
-            map: HashMap::new(),
-            seq: 0,
-        })
-    })
-}
-
-fn resolve_cached(
-    tape: &Tape,
-    reads: &[&FieldArray],
-    writes: &[FieldArray],
-    read_map: &[usize],
-    write_map: &[usize],
-) -> Arc<Plan> {
-    let geom = (0..tape.fields.len())
-        .map(|slot| {
-            let arr: &FieldArray = if write_map[slot] != usize::MAX {
-                &writes[write_map[slot]]
-            } else {
-                reads[read_map[slot]]
-            };
-            (arr.index(0, 0, 0, 0) as isize, arr.strides())
-        })
-        .collect();
-    let key = PlanKey {
-        tape: tape.structural_hash(),
-        geom,
-    };
-    let mut cache = plan_cache().lock().expect("plan cache poisoned");
-    if let Some(entry) = cache.map.get(&key) {
-        if pf_trace::enabled() {
-            pf_trace::counter(&format!("exec.plan_cache.hit.{}", tape.name)).incr(1);
-        }
-        #[cfg(debug_assertions)]
-        debug_assert_eq!(
-            entry.src_fp,
-            crate::native::source_fingerprint(tape),
-            "plan-cache key collision: tape '{}' matches a cached plan's \
-             structural_hash but renders different native source",
-            tape.name
-        );
-        return Arc::clone(&entry.plan);
-    }
-    if pf_trace::enabled() {
-        pf_trace::counter(&format!("exec.plan_cache.miss.{}", tape.name)).incr(1);
-    }
-    let plan = Arc::new(resolve(tape, reads, writes, read_map, write_map));
-    // Growth guard: a long-lived process cycling through many distinct
-    // (kernel, shape) pairs should not leak plans without bound. Evict the
-    // oldest-inserted half — dropping the whole cache would force every
-    // live kernel through a thundering-herd re-resolution.
-    if cache.map.len() >= PLAN_CACHE_CAP {
-        let mut seqs: Vec<u64> = cache.map.values().map(|e| e.seq).collect();
-        seqs.sort_unstable();
-        let cutoff = seqs[seqs.len() / 2];
-        let before = cache.map.len();
-        cache.map.retain(|_, e| e.seq >= cutoff);
-        let evicted = (before - cache.map.len()) as u64;
-        if pf_trace::enabled() {
-            pf_trace::counter("exec.plan_cache.evict").incr(evicted);
-        }
-    }
-    cache.seq += 1;
-    let entry = PlanEntry {
-        seq: cache.seq,
-        plan: Arc::clone(&plan),
-        #[cfg(debug_assertions)]
-        src_fp: crate::native::source_fingerprint(tape),
-    };
-    cache.map.insert(key, entry);
-    plan
 }
 
 /// Shared mutable view over a write array for the vectorized engine's
@@ -391,15 +302,372 @@ pub fn extended_range(tape: &Tape, domain: [usize; 3]) -> [usize; 3] {
     ]
 }
 
-/// Execute `tape` over the block interior (plus its `iter_extent`).
+/// What runs a bound tape.
+enum Engine {
+    Serial(Plan),
+    Vectorized(Plan),
+    Native(PfKernelFn),
+}
+
+/// A tape bound to its storage: the moral equivalent of the paper's sweep
+/// object, constructed once against a block's fields and then merely called
+/// every timestep.
 ///
-/// `domain` is the block's interior cell shape; the written arrays must be
-/// sized to accept the extended iteration range of face kernels.
-///
-/// Infallible wrapper over [`run_kernel_checked`]: a kernel whose stores
-/// violate the parallel partitioning constraint is re-run serially (with an
-/// `exec.serial_fallback.<kernel>` trace counter) instead of panicking
-/// mid-launch or racing.
+/// [`Launch::bind`] decides, once, everything that depends only on (tape,
+/// bound-array geometry, engine); [`Launch::run`] does what varies from call
+/// to call. A launch stays valid while every bound field's array keeps its
+/// geometry — swapping two equally shaped arrays (φ_src ↔ φ_dst) is free, any
+/// other change rebinds, re-running every gate before a store.
+pub struct Launch {
+    tape: Tape,
+    domain: [usize; 3],
+    /// Per field slot: where its array is during a run, and the geometry
+    /// it was bound with.
+    slots: Vec<Slot>,
+    geom: Vec<Geom>,
+    engine: Engine,
+    /// Non-monotone levels (a GPU-oriented reschedule): every hoisted
+    /// section collapsed to per-cell execution.
+    licm_disabled: bool,
+    /// Trace names, rendered once.
+    names: [String; 4],
+}
+
+impl Launch {
+    /// Bind `tape` to the arrays `store` holds for its fields, to run under
+    /// `mode` over a block of `domain` interior cells. The checked entry: a
+    /// tape `mode` cannot run is a typed error, not a downgrade.
+    ///
+    /// Everything a launch must hold before it may store is established
+    /// here: no field is both read and written (Jacobi discipline), stores
+    /// are centred along the outer loop where it is partitioned, every
+    /// access fits the bound arrays' ghost layers and padding (the runtime
+    /// completion of pf-analyze's halo pass, under `verify_enabled()` —
+    /// generation-time verification cannot know what storage a caller will
+    /// bind), and for [`ExecMode::Native`] the compiled kernel is loaded.
+    pub fn bind(
+        tape: &Tape,
+        store: &FieldStore,
+        domain: [usize; 3],
+        mode: ExecMode,
+    ) -> Result<Launch, ExecError> {
+        let order = tape.loop_order;
+        // The strip engine mines strips along the unit-stride x dimension,
+        // which the LICM pass always keeps innermost (`compute_levels`
+        // asserts it). Defensively run hand-built tapes that violate this
+        // serially.
+        let mode = if mode == ExecMode::Vectorized && order[2] != 0 {
+            count_serial_fallback(tape);
+            ExecMode::Serial
+        } else {
+            mode
+        };
+
+        let n = tape.fields.len();
+        let (mut loaded, mut stored) = (vec![false; n], vec![false; n]);
+        let mut off_centre = None;
+        for op in &tape.instrs {
+            match *op {
+                TapeOp::Load { field, .. } => loaded[field as usize] = true,
+                TapeOp::Store { field, off, .. } => {
+                    stored[field as usize] = true;
+                    if off[order[0]] != 0 {
+                        off_centre.get_or_insert(off[order[0]]);
+                    }
+                }
+                _ => {}
+            }
+        }
+        // Partitioned execution splits the outer spatial loop across
+        // threads; a store off-centre along that dimension would let two
+        // partitions write the same cell.
+        if let (true, Some(offset)) = (mode != ExecMode::Serial, off_centre) {
+            return Err(ExecError::NonCentreStore {
+                kernel: tape.name.clone(),
+                dim: order[0],
+                offset,
+            });
+        }
+        let native = match mode {
+            ExecMode::Native => Some(crate::native::get_or_load(tape)?),
+            _ => None,
+        };
+        for (slot, f) in tape.fields.iter().enumerate() {
+            assert!(
+                !(loaded[slot] && stored[slot]),
+                "kernel {} reads and writes field {} — Jacobi-style kernels only",
+                tape.name,
+                f.name()
+            );
+        }
+
+        let mut next = [0usize; 2];
+        let slots: Vec<Slot> = stored
+            .iter()
+            .map(|&written| {
+                let i = next[written as usize];
+                next[written as usize] += 1;
+                if written {
+                    Slot::Write(i)
+                } else {
+                    Slot::Read(i)
+                }
+            })
+            .collect();
+        let geom: Vec<Geom> = tape
+            .fields
+            .iter()
+            .map(|f| Geom::of(store.get(*f)))
+            .collect();
+        if pf_ir::verify_enabled() {
+            let allocs: Vec<pf_analyze::FieldAlloc> = geom
+                .iter()
+                .map(|g| pf_analyze::FieldAlloc {
+                    ghost: g.ghost,
+                    pad: [0, 1, 2].map(|d| g.shape[d].saturating_sub(domain[d])),
+                })
+                .collect();
+            let halo = pf_analyze::check_halo(tape, &allocs);
+            assert!(
+                halo.is_empty(),
+                "kernel {} does not fit its bound storage:\n{}",
+                tape.name,
+                pf_analyze::render(&halo)
+            );
+        }
+        if pf_trace::enabled() {
+            pf_trace::counter(&format!("exec.bind.{}", tape.name)).incr(1);
+        }
+        let engine = match (native, mode) {
+            (Some(func), _) => Engine::Native(func),
+            (None, ExecMode::Serial) => Engine::Serial(resolve(tape, &geom, &slots)),
+            (None, _) => Engine::Vectorized(resolve(tape, &geom, &slots)),
+        };
+        Ok(Launch {
+            domain,
+            slots,
+            geom,
+            engine,
+            licm_disabled: !tape.levels_monotone(),
+            names: ["launches", "cells", "kernel", "licm_disabled"]
+                .map(|what| format!("exec.{what}.{}", tape.name)),
+            tape: tape.clone(),
+        })
+    }
+
+    /// [`Launch::bind`] under `mode` or, failing that, under the next engine
+    /// that can run the tape: Native → Vectorized → Serial. This and
+    /// [`fall_back`] are the one place an engine is chosen for a tape; every
+    /// downgrade is counted, none is silent.
+    pub fn bind_or_fall_back(
+        tape: &Tape,
+        store: &FieldStore,
+        domain: [usize; 3],
+        mode: ExecMode,
+    ) -> Launch {
+        let mut mode = mode;
+        loop {
+            match Launch::bind(tape, store, domain, mode) {
+                Ok(launch) => return launch,
+                Err(e) => mode = fall_back(tape, &e),
+            }
+        }
+    }
+
+    /// The engine this launch runs under (what was asked for, or what it
+    /// fell back to).
+    pub fn mode(&self) -> ExecMode {
+        match self.engine {
+            Engine::Serial(_) => ExecMode::Serial,
+            Engine::Vectorized(_) => ExecMode::Vectorized,
+            Engine::Native(_) => ExecMode::Native,
+        }
+    }
+
+    /// The bound tape's iteration range: the interior plus its `iter_extent`.
+    pub fn extended_range(&self) -> [usize; 3] {
+        extended_range(&self.tape, self.domain)
+    }
+
+    /// The fields whose arrays a run takes out of the store to write
+    /// (`written`), or only borrows to read, in slot order.
+    fn fields(&self, written: bool) -> impl Iterator<Item = Field> + '_ {
+        let fields = self.tape.fields.iter().zip(&self.slots);
+        fields
+            .filter(move |(_, s)| s.is_write() == written)
+            .map(|(f, _)| *f)
+    }
+
+    /// Execute the tape over `region`, a sub-box of [`Self::extended_range`]
+    /// — the overlapped distributed schedule launches the interior while
+    /// halo messages are in flight and the frontier shells after the
+    /// receives complete. Cells outside `region` are untouched; cell
+    /// semantics (absolute coordinates, Philox counters) do not depend on
+    /// the region, so tiling regions are bitwise one full launch.
+    ///
+    /// Infallible: a changed storage geometry rebinds (every gate of
+    /// [`Launch::bind`] runs again before any store), and a compiled kernel
+    /// that rejects its argument pack — its arity checks precede every store
+    /// — falls back like a failed bind.
+    pub fn run(
+        &mut self,
+        store: &mut FieldStore,
+        params: &[f64],
+        region: IterRegion,
+        ctx: &RunCtx,
+    ) {
+        let mut bound = self.tape.fields.iter().zip(&self.geom);
+        if !bound.all(|(f, g)| Geom::of(store.get(*f)) == *g) {
+            *self = Launch::bind_or_fall_back(&self.tape, store, self.domain, self.mode());
+        }
+        if let Err(e) = self.execute(store, params, region, ctx) {
+            let mode = fall_back(&self.tape, &e);
+            *self = Launch::bind_or_fall_back(&self.tape, store, self.domain, mode);
+            self.execute(store, params, region, ctx)
+                .expect("the interpreters accept every bound launch");
+        }
+    }
+
+    fn execute(
+        &self,
+        store: &mut FieldStore,
+        params: &[f64],
+        region: IterRegion,
+        ctx: &RunCtx,
+    ) -> Result<(), ExecError> {
+        let tape = &self.tape;
+        assert_eq!(
+            params.len(),
+            tape.params.len(),
+            "kernel {} expects {} parameters",
+            tape.name,
+            tape.params.len()
+        );
+        let ext = self.extended_range();
+        assert!(
+            (0..3).all(|d| region.hi[d] <= ext[d]),
+            "kernel {}: region {:?} exceeds the extended range {:?}",
+            tape.name,
+            region,
+            ext
+        );
+
+        // Observability: one span + a few counter bumps per launch (a launch
+        // sweeps a whole block, so this is far off the per-cell hot path).
+        // `exec.cells` meters the actual iteration count: the region volume,
+        // which for a full launch is the extended range.
+        let [launches, cells, kernel, licm_disabled] = &self.names;
+        if pf_trace::enabled() {
+            pf_trace::counter(launches).incr(1);
+            let n = region.cells() as u64;
+            pf_trace::counter("exec.cells").incr(n);
+            pf_trace::counter(cells).incr(n);
+            // GPU-rescheduled tapes run every hoisted section per cell on
+            // the CPU, silently costing throughput: surface it per launch.
+            if self.licm_disabled {
+                pf_trace::counter(licm_disabled).incr(1);
+            }
+        }
+        let _launch_span = pf_trace::span(kernel);
+
+        // Split borrows: take the written arrays out of the store.
+        let mut writes: Vec<FieldArray> = self.fields(true).map(|f| store.take(f)).collect();
+        let reads: Vec<&FieldArray> = self.fields(false).map(|f| store.get(f)).collect();
+        let read_data: Vec<&[f64]> = reads.iter().map(|a| a.data()).collect();
+
+        let result = match &self.engine {
+            Engine::Native(func) => {
+                crate::native::launch(*func, &self.slots, &reads, &mut writes, params, ctx, region)
+                    .map_err(|code| ExecError::NativeAbi {
+                        kernel: tape.name.clone(),
+                        code,
+                    })
+            }
+            // A region too narrow along x to fill one strip would run
+            // entirely in the strip engine's scalar tear-down loop; the
+            // serial driver does the same work over the same plan without
+            // the strip bookkeeping. Bitwise interchangeable, purely speed.
+            Engine::Vectorized(plan)
+                if region.hi[0].saturating_sub(region.lo[0]) >= crate::STRIP_WIDTH =>
+            {
+                let raw: Vec<RawSlice> = writes
+                    .iter_mut()
+                    .map(|a| {
+                        let d = a.data_mut();
+                        RawSlice {
+                            ptr: d.as_mut_ptr(),
+                            len: d.len(),
+                        }
+                    })
+                    .collect();
+                crate::vector::run_vectorized(tape, plan, params, ctx, region, &read_data, &raw);
+                Ok(())
+            }
+            Engine::Serial(plan) | Engine::Vectorized(plan) => {
+                let mut write_data: Vec<&mut [f64]> =
+                    writes.iter_mut().map(|a| a.data_mut()).collect();
+                let mut regs = vec![0.0f64; tape.instrs.len()];
+                let cell = Cursor::new(tape, plan, params, ctx, region);
+                let mut write = |arr: usize, idx: usize, v: f64| write_data[arr][idx] = v;
+                // Sweep-invariant section; a store in it is discarded, as
+                // in every other engine (the levels pass pins stores per cell).
+                let mut discard = |_: usize, _: usize, _: f64| {};
+                cell.exec_section(&mut regs, &read_data, &mut discard, 0, plan.sec[0], [0; 3]);
+                let outer = tape.loop_order[0];
+                for o in region.lo[outer]..region.hi[outer] {
+                    cell.run_outer(&mut regs, &read_data, &mut write, o);
+                }
+                Ok(())
+            }
+        };
+
+        // The arrays go back before an error surfaces.
+        for (f, arr) in self.fields(true).zip(writes) {
+            store.insert(f, arr);
+        }
+        result
+    }
+}
+
+/// A launch asked for the strip engine and runs serially instead.
+fn count_serial_fallback(tape: &Tape) {
+    if pf_trace::enabled() {
+        pf_trace::counter(&format!("exec.serial_fallback.{}", tape.name)).incr(1);
+        pf_trace::counter(&format!("exec.fallback.{}", tape.name)).incr(1);
+    }
+}
+
+/// The engine to try after `err`, counted under `exec.fallback.<kernel>`.
+/// An off-centre store needs the one engine that does not partition the
+/// outer loop. A native failure is never fatal: the vectorized interpreter
+/// is bitwise identical (and a tape it rejects too lands on Serial next).
+fn fall_back(tape: &Tape, err: &ExecError) -> ExecMode {
+    match err {
+        ExecError::NonCentreStore { .. } => {
+            count_serial_fallback(tape);
+            ExecMode::Serial
+        }
+        ExecError::NativeCompile { .. } | ExecError::NativeAbi { .. } => {
+            if pf_trace::enabled() {
+                pf_trace::counter(&format!("exec.fallback.{}", tape.name)).incr(1);
+            }
+            // Warn once per process — a broken rustc would otherwise spam
+            // every bind.
+            static WARNED: std::sync::Once = std::sync::Once::new();
+            WARNED.call_once(|| {
+                eprintln!(
+                    "pf-backend: native execution unavailable, falling back to vectorized: {err}"
+                );
+            });
+            ExecMode::Vectorized
+        }
+    }
+}
+
+/// Execute `tape` over the block interior (plus its `iter_extent`): bind,
+/// run once. `domain` is the block's interior cell shape; the written
+/// arrays must be sized to accept the extended iteration range of face
+/// kernels. Callers that launch a tape repeatedly keep the [`Launch`].
 pub fn run_kernel(
     tape: &Tape,
     store: &mut FieldStore,
@@ -412,27 +680,8 @@ pub fn run_kernel(
     run_kernel_region(tape, store, params, domain, region, ctx, mode);
 }
 
-/// Execute `tape`, returning a typed error instead of falling back when the
-/// requested mode cannot run it. On `Err` the bound storage is untouched.
-pub fn run_kernel_checked(
-    tape: &Tape,
-    store: &mut FieldStore,
-    params: &[f64],
-    domain: [usize; 3],
-    ctx: &RunCtx,
-    mode: ExecMode,
-) -> Result<(), ExecError> {
-    let region = IterRegion::full(extended_range(tape, domain));
-    run_kernel_region_checked(tape, store, params, domain, region, ctx, mode)
-}
-
-/// Execute `tape` over a sub-box of its extended iteration range — the
-/// overlapped distributed schedule launches the interior region while halo
-/// messages are in flight and the frontier shells after the receives
-/// complete. Cells outside `region` are untouched; cell semantics
-/// (absolute coordinates, Philox counters) are identical to a full launch,
-/// so splitting a sweep into tiling regions is bitwise equivalent to one
-/// [`run_kernel`] call. Falls back to serial like [`run_kernel`].
+/// [`run_kernel`] over a sub-box of the extended iteration range; see
+/// [`Launch::run`].
 pub fn run_kernel_region(
     tape: &Tape,
     store: &mut FieldStore,
@@ -442,277 +691,7 @@ pub fn run_kernel_region(
     ctx: &RunCtx,
     mode: ExecMode,
 ) {
-    match run_kernel_region_checked(tape, store, params, domain, region, ctx, mode) {
-        Ok(()) => {}
-        Err(ExecError::NonCentreStore { .. }) => {
-            count_serial_fallback(tape);
-            run_kernel_region_checked(tape, store, params, domain, region, ctx, ExecMode::Serial)
-                .expect("serial execution has no store-offset constraints");
-        }
-        Err(e @ (ExecError::NativeCompile { .. } | ExecError::NativeAbi { .. })) => {
-            // Native launch failure is never fatal: fall back to the
-            // vectorized interpreter, which is bitwise identical. Warn once
-            // per process — a broken rustc would otherwise spam every step.
-            if pf_trace::enabled() {
-                pf_trace::counter(&format!("exec.fallback.{}", tape.name)).incr(1);
-            }
-            static WARNED: std::sync::atomic::AtomicBool =
-                std::sync::atomic::AtomicBool::new(false);
-            if !WARNED.swap(true, std::sync::atomic::Ordering::Relaxed) {
-                eprintln!(
-                    "pf-backend: native execution unavailable, falling back to vectorized: {e}"
-                );
-            }
-            // Recurse through the infallible path: a tape the vectorized
-            // engine also rejects (NonCentreStore) then lands on Serial.
-            run_kernel_region(
-                tape,
-                store,
-                params,
-                domain,
-                region,
-                ctx,
-                ExecMode::Vectorized,
-            );
-        }
-    }
-}
-
-/// A launch asked for the strip engine and runs serially instead.
-fn count_serial_fallback(tape: &Tape) {
-    if pf_trace::enabled() {
-        pf_trace::counter(&format!("exec.serial_fallback.{}", tape.name)).incr(1);
-        pf_trace::counter(&format!("exec.fallback.{}", tape.name)).incr(1);
-    }
-}
-
-/// Checked sub-region launch; see [`run_kernel_region`].
-pub fn run_kernel_region_checked(
-    tape: &Tape,
-    store: &mut FieldStore,
-    params: &[f64],
-    domain: [usize; 3],
-    region: IterRegion,
-    ctx: &RunCtx,
-    mode: ExecMode,
-) -> Result<(), ExecError> {
-    assert_eq!(
-        params.len(),
-        tape.params.len(),
-        "kernel {} expects {} parameters",
-        tape.name,
-        tape.params.len()
-    );
-
-    // Loops iterate (a sub-box of) the extended range (interior +
-    // face-kernel extent).
-    let ext = extended_range(tape, domain);
-    for d in 0..3 {
-        assert!(
-            region.hi[d] <= ext[d],
-            "kernel {}: region {:?} exceeds the extended range {:?}",
-            tape.name,
-            region,
-            ext
-        );
-    }
-    let order = tape.loop_order;
-
-    // The strip engine mines strips along the unit-stride x dimension,
-    // which the LICM pass always keeps innermost (`compute_levels` asserts
-    // it). Defensively run hand-built tapes that violate this serially.
-    let mode = if mode == ExecMode::Vectorized && order[2] != 0 {
-        count_serial_fallback(tape);
-        ExecMode::Serial
-    } else {
-        mode
-    };
-
-    // Partitioned execution (Vectorized) splits the outer spatial loop
-    // across threads; stores off-centre along that dimension
-    // would let two partitions write the same cell. Checked before any
-    // array is taken out of the store, so an `Err` leaves it untouched.
-    if mode != ExecMode::Serial {
-        for op in &tape.instrs {
-            if let TapeOp::Store { off, .. } = op {
-                if off[order[0]] != 0 {
-                    return Err(ExecError::NonCentreStore {
-                        kernel: tape.name.clone(),
-                        dim: order[0],
-                        offset: off[order[0]],
-                    });
-                }
-            }
-        }
-    }
-
-    // Native mode resolves its compiled kernel before any array is taken
-    // out of the store, so a compile failure leaves the storage untouched
-    // (same contract as the NonCentreStore check above).
-    let native_fn = if mode == ExecMode::Native {
-        Some(crate::native::get_or_load(tape)?)
-    } else {
-        None
-    };
-
-    // Observability: one span + a few counter bumps per launch (a launch
-    // sweeps a whole block, so this is far off the per-cell hot path).
-    // `exec.cells` meters the actual iteration count: the region volume,
-    // which for a full launch is the extended range (domain + iter_extent).
-    if pf_trace::enabled() {
-        pf_trace::counter(&format!("exec.launches.{}", tape.name)).incr(1);
-        let n = region.cells() as u64;
-        pf_trace::counter("exec.cells").incr(n);
-        pf_trace::counter(&format!("exec.cells.{}", tape.name)).incr(n);
-    }
-    let _launch_span = pf_trace::span_lazy(|| format!("exec.kernel.{}", tape.name));
-
-    // Partition fields into read-only and written.
-    let mut written: Vec<u16> = Vec::new();
-    for op in &tape.instrs {
-        if let TapeOp::Store { field, .. } = op {
-            if !written.contains(field) {
-                written.push(*field);
-            }
-        }
-    }
-    for op in &tape.instrs {
-        if let TapeOp::Load { field, .. } = op {
-            assert!(
-                !written.contains(field),
-                "kernel {} reads and writes field {} — Jacobi-style kernels only",
-                tape.name,
-                tape.fields[*field as usize].name()
-            );
-        }
-    }
-
-    // Split borrows: take written arrays out of the store.
-    let mut write_map = vec![usize::MAX; tape.fields.len()];
-    let mut writes: Vec<FieldArray> = Vec::new();
-    for (slot, f) in tape.fields.iter().enumerate() {
-        if written.contains(&(slot as u16)) {
-            write_map[slot] = writes.len();
-            writes.push(store.take(*f));
-        }
-    }
-    // A native launch can still fail after the arrays are taken out of the
-    // store (the artifact's own ABI checks); the error is deferred so the
-    // arrays are always re-inserted first.
-    let mut deferred: Option<ExecError> = None;
-    {
-        let mut read_map = vec![usize::MAX; tape.fields.len()];
-        let mut reads: Vec<&FieldArray> = Vec::new();
-        for (slot, f) in tape.fields.iter().enumerate() {
-            if write_map[slot] == usize::MAX {
-                read_map[slot] = reads.len();
-                reads.push(store.get(*f));
-            }
-        }
-        // Launch gate: prove every access fits the bound arrays' actual
-        // ghost layers and padding before touching any memory. This is the
-        // runtime completion of pf-analyze's halo pass — generation-time
-        // verification cannot know what storage a caller will bind.
-        if pf_ir::verify_enabled() {
-            let allocs: Vec<pf_analyze::FieldAlloc> = (0..tape.fields.len())
-                .map(|slot| {
-                    let arr: &FieldArray = if write_map[slot] != usize::MAX {
-                        &writes[write_map[slot]]
-                    } else {
-                        reads[read_map[slot]]
-                    };
-                    let shape = arr.shape();
-                    pf_analyze::FieldAlloc {
-                        ghost: arr.ghost_layers(),
-                        pad: [
-                            shape[0].saturating_sub(domain[0]),
-                            shape[1].saturating_sub(domain[1]),
-                            shape[2].saturating_sub(domain[2]),
-                        ],
-                    }
-                })
-                .collect();
-            let halo = pf_analyze::check_halo(tape, &allocs);
-            assert!(
-                halo.is_empty(),
-                "kernel {} does not fit its bound storage:\n{}",
-                tape.name,
-                pf_analyze::render(&halo)
-            );
-        }
-
-        let plan = resolve_cached(tape, &reads, &writes, &read_map, &write_map);
-        // Surface LICM loss per launch: GPU-rescheduled tapes run every
-        // hoisted section per cell on the CPU, silently costing throughput.
-        if plan.licm_disabled && pf_trace::enabled() {
-            pf_trace::counter(&format!("exec.licm_disabled.{}", tape.name)).incr(1);
-        }
-        let read_data: Vec<&[f64]> = reads.iter().map(|a| a.data()).collect();
-
-        match mode {
-            ExecMode::Native => {
-                let func = native_fn.expect("resolved above for Native mode");
-                if let Err(code) = crate::native::launch(
-                    func,
-                    tape,
-                    &reads,
-                    &mut writes,
-                    &read_map,
-                    &write_map,
-                    params,
-                    ctx,
-                    region,
-                ) {
-                    // The artifact's arity checks run before any store, so
-                    // the arrays are unmodified — but they must go back into
-                    // the store before the error surfaces.
-                    deferred = Some(ExecError::NativeAbi {
-                        kernel: tape.name.clone(),
-                        code,
-                    });
-                }
-            }
-            ExecMode::Serial => {
-                let mut write_data: Vec<&mut [f64]> =
-                    writes.iter_mut().map(|a| a.data_mut()).collect();
-                let mut regs = vec![0.0f64; tape.instrs.len()];
-                let cell = Cursor::new(tape, &plan, params, ctx, region);
-                let mut write = |arr: usize, idx: usize, v: f64| write_data[arr][idx] = v;
-                // Sweep-invariant section; a store in it is discarded, as
-                // in every other engine (the levels pass pins stores per cell).
-                let mut discard = |_: usize, _: usize, _: f64| {};
-                cell.exec_section(&mut regs, &read_data, &mut discard, 0, plan.sec[0], [0; 3]);
-                for o in region.lo[order[0]]..region.hi[order[0]] {
-                    cell.run_outer(&mut regs, &read_data, &mut write, o);
-                }
-            }
-            ExecMode::Vectorized => {
-                let raw: Vec<RawSlice> = writes
-                    .iter_mut()
-                    .map(|a| {
-                        let d = a.data_mut();
-                        RawSlice {
-                            ptr: d.as_mut_ptr(),
-                            len: d.len(),
-                        }
-                    })
-                    .collect();
-                crate::vector::run_vectorized(tape, &plan, params, ctx, region, &read_data, &raw);
-            }
-        }
-    }
-
-    // Re-insert written arrays.
-    let mut w = writes.into_iter();
-    for (slot, f) in tape.fields.iter().enumerate() {
-        if write_map[slot] != usize::MAX {
-            store.insert(*f, w.next().expect("one array per written field"));
-        }
-    }
-    match deferred {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    Launch::bind_or_fall_back(tape, store, domain, mode).run(store, params, region, ctx);
 }
 
 /// Loop driver holding the per-launch constants, shared by the serial and
@@ -853,21 +832,16 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Measurement entry point for the autotuner: run a multi-pass kernel
-/// (e.g. a split variant's face tapes plus its update) `sweeps` times under
-/// `mode` and return the measured performance in MLUP/s.
+/// The one timed loop: bind every tape of a multi-pass kernel (e.g. a split
+/// variant's face tapes plus its update) once, run one untimed warm-up
+/// sweep, then time `sweeps` sweeps; seconds.
 ///
-/// One untimed warm-up sweep runs first so the measured sweeps see the
-/// steady state the launch path sees: the plan cache already holds the
-/// resolved (tape, geometry) plan, and for [`ExecMode::Native`] the kernel
-/// artifact has already been compiled and dlopened (otherwise a cold
-/// `rustc` invocation would be billed to the candidate's runtime).
-///
-/// Goes through [`run_kernel`] — the exact production entry, including its
-/// serial/vectorized degradation paths — so a candidate is timed as it
-/// would actually execute, not as an idealized variant of itself. The lattice
-/// count is the sum of every pass's extended range (matching `exec.cells`).
-pub fn time_tapes(
+/// What is timed is the steady state a simulation sees — for
+/// [`ExecMode::Native`] the artifact was compiled and loaded by the bind —
+/// through the production [`Launch`], fall-backs included, so a candidate is
+/// timed as it would actually execute, not as an idealized variant of
+/// itself.
+pub fn time_sweeps(
     tapes: &[&Tape],
     store: &mut FieldStore,
     params: &[f64],
@@ -877,26 +851,43 @@ pub fn time_tapes(
     sweeps: usize,
 ) -> f64 {
     assert!(sweeps >= 1, "cannot time zero sweeps");
-    for tape in tapes {
-        run_kernel(tape, store, params, domain, ctx, mode);
-    }
-    let cells_per_sweep: usize = tapes
+    let mut launches: Vec<Launch> = tapes
         .iter()
-        .map(|t| {
-            let e = extended_range(t, domain);
-            e[0] * e[1] * e[2]
-        })
-        .sum();
+        .map(|t| Launch::bind_or_fall_back(t, store, domain, mode))
+        .collect();
+    let mut sweep = |store: &mut FieldStore| {
+        for l in &mut launches {
+            l.run(store, params, IterRegion::full(l.extended_range()), ctx);
+        }
+    };
+    sweep(store);
+    let t0 = std::time::Instant::now();
+    for _ in 0..sweeps {
+        sweep(store);
+    }
+    t0.elapsed().as_secs_f64().max(1e-9)
+}
+
+/// Measurement entry point for the autotuner: MLUP/s of [`time_sweeps`],
+/// the lattice count being the sum of every pass's extended range
+/// (matching `exec.cells`).
+pub fn time_tapes(
+    tapes: &[&Tape],
+    store: &mut FieldStore,
+    params: &[f64],
+    domain: [usize; 3],
+    ctx: &RunCtx,
+    mode: ExecMode,
+    sweeps: usize,
+) -> f64 {
     if pf_trace::enabled() {
         pf_trace::counter("exec.measure.runs").incr(1);
     }
-    let t0 = std::time::Instant::now();
-    for _ in 0..sweeps {
-        for tape in tapes {
-            run_kernel(tape, store, params, domain, ctx, mode);
-        }
-    }
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    let cells_per_sweep: usize = tapes
+        .iter()
+        .map(|t| extended_range(t, domain).iter().product::<usize>())
+        .sum();
+    let secs = time_sweeps(tapes, store, params, domain, ctx, mode, sweeps);
     (cells_per_sweep * sweeps) as f64 / secs / 1e6
 }
 
@@ -983,7 +974,7 @@ mod tests {
     #[test]
     fn non_centre_outer_store_is_typed_error_with_serial_fallback() {
         // A store offset along the outer loop dimension (z for the default
-        // [2,1,0] order) breaks the parallel partitioning: the checked API
+        // [2,1,0] order) breaks the parallel partitioning: the checked bind
         // reports it as a typed error, the infallible API falls back to a
         // serial launch that produces the same cells as ExecMode::Serial.
         let src = Field::new("ex_nc_src", 1, 3);
@@ -1011,9 +1002,10 @@ mod tests {
         run_kernel(&tape, &mut serial, &[], [8, 4, 4], &ctx, ExecMode::Serial);
 
         let mode = ExecMode::Vectorized;
-        let mut s = mk();
-        let err = run_kernel_checked(&tape, &mut s, &[], [8, 4, 4], &ctx, mode)
-            .expect_err("off-centre outer store must be rejected");
+        let s = mk();
+        let err = Launch::bind(&tape, &s, [8, 4, 4], mode)
+            .err()
+            .expect("off-centre outer store must be rejected");
         match &err {
             ExecError::NonCentreStore {
                 kernel,
@@ -1067,13 +1059,6 @@ mod tests {
         if pf_trace::enabled() {
             assert_eq!(after - before, 20, "ext = (4+1)·4·1 cells per launch");
         }
-    }
-
-    /// The plan cache is process-global; tests asserting exact hit/miss or
-    /// eviction counts must not interleave.
-    fn plan_cache_test_lock() -> &'static Mutex<()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
     }
 
     #[test]
@@ -1131,101 +1116,68 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_evicts_oldest_half_at_capacity() {
-        let _guard = plan_cache_test_lock()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let src = Field::new("ex_ev_src", 1, 1);
-        let dst = Field::new("ex_ev_dst", 1, 1);
+    fn a_launch_rebinds_exactly_when_the_storage_geometry_changes() {
+        // Jacobi pair of equally shaped arrays: dst = src(x-1) + src(x+1).
+        let a = Field::new("ex_rb_a", 1, 2);
+        let b = Field::new("ex_rb_b", 1, 2);
+        let sum =
+            Expr::access(Access::at(a, 0, [-1, 0, 0])) + Expr::access(Access::at(a, 0, [1, 0, 0]));
         let k = StencilKernel::new(
-            "plan_evict",
-            vec![Assignment::store(
-                Access::center(dst, 0),
-                Expr::access(Access::center(src, 0)),
-            )],
+            "rebind_gate",
+            vec![Assignment::store(Access::center(b, 0), sum)],
         );
         let tape = generate(&k, &GenOptions::default());
-        // Vary the y extent: distinct y shapes give distinct z strides and
-        // base offsets (x extents are padded to the SIMD width, so nearby
-        // x shapes would collapse onto one storage geometry).
-        let launch = |n: usize| {
-            let mut store = FieldStore::new();
-            store.allocate(src, [4, n, 1], 1, Layout::Fzyx);
-            store.allocate(dst, [4, n, 1], 1, Layout::Fzyx);
-            run_kernel(
-                &tape,
-                &mut store,
-                &[],
-                [4, n, 1],
-                &RunCtx::default(),
-                ExecMode::Serial,
-            );
-        };
-        let evictions = || pf_trace::counter("exec.plan_cache.evict").value();
-        let hits = || pf_trace::counter("exec.plan_cache.hit.plan_evict").value();
-        let misses = || pf_trace::counter("exec.plan_cache.miss.plan_evict").value();
-        let e0 = evictions();
-        // Fill the cache past capacity with distinct storage geometries.
-        for n in 0..(PLAN_CACHE_CAP + 8) {
-            launch(4 + n);
-        }
-        if pf_trace::enabled() {
-            assert!(
-                evictions() - e0 >= (PLAN_CACHE_CAP / 2) as u64,
-                "filling past capacity must evict about half, got {}",
-                evictions() - e0
-            );
-            // The guard keeps the *newest* half: the last geometry must
-            // still be cached (the old guard cleared everything).
-            let (h0, m0) = (hits(), misses());
-            launch(4 + PLAN_CACHE_CAP + 7);
-            assert_eq!(hits() - h0, 1, "most recent plan survives eviction");
-            assert_eq!(misses() - m0, 0);
-        }
-    }
+        let domain = [8usize, 4, 1];
+        let mut store = FieldStore::new();
+        store
+            .allocate(a, domain, 1, Layout::Fzyx)
+            .fill_with(0, |x, y, _| (x * 3 + y) as f64);
+        store.get_mut(a).apply_periodic(0);
+        store.allocate(b, domain, 1, Layout::Fzyx);
+        let binds = || pf_trace::counter("exec.bind.rebind_gate").value();
+        let b0 = binds();
+        let ctx = RunCtx::default();
+        let full = IterRegion::full(domain);
 
-    #[test]
-    fn plan_cache_resolves_once_per_kernel_and_shape() {
-        let _guard = plan_cache_test_lock()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let src = Field::new("ex_pc_src", 1, 2);
-        let dst = Field::new("ex_pc_dst", 1, 2);
-        let k = StencilKernel::new(
-            "plan_cached",
-            vec![Assignment::store(
-                Access::center(dst, 0),
-                Expr::access(Access::center(src, 0)) * 2.0,
-            )],
+        let mut launch = Launch::bind(&tape, &store, domain, ExecMode::Serial).expect("binds");
+        launch.run(&mut store, &[], full, &ctx);
+        // The src ↔ dst exchange at the end of a timestep keeps every
+        // slot's geometry: the same launch now reads what it wrote.
+        store.swap(a, b);
+        store.get_mut(a).apply_periodic(0);
+        launch.run(&mut store, &[], full, &ctx);
+        assert_eq!(
+            store.get(b).get(0, 3, 1, 0),
+            2.0 * (2.0 * (3.0 * 3.0 + 1.0))
         );
-        let tape = generate(&k, &GenOptions::default());
-        let hits = || pf_trace::counter("exec.plan_cache.hit.plan_cached").value();
-        let misses = || pf_trace::counter("exec.plan_cache.miss.plan_cached").value();
-        let (h0, m0) = (hits(), misses());
-        let launch = |n: usize| {
-            let mut store = FieldStore::new();
-            store.allocate(src, [n, n, 1], 1, Layout::Fzyx);
-            store.allocate(dst, [n, n, 1], 1, Layout::Fzyx);
-            for _ in 0..3 {
-                run_kernel(
-                    &tape,
-                    &mut store,
-                    &[],
-                    [n, n, 1],
-                    &RunCtx::default(),
-                    ExecMode::Serial,
-                );
-            }
-        };
-        launch(8);
         if pf_trace::enabled() {
-            assert_eq!(misses() - m0, 1, "resolve() once for the first shape");
-            assert_eq!(hits() - h0, 2, "subsequent launches hit the cache");
+            assert_eq!(binds() - b0, 1, "equal geometry must not rebind");
         }
-        launch(12);
+
+        // Another geometry that fits (two ghost layers): one rebind, and
+        // the offsets resolved against it.
+        store
+            .allocate(a, domain, 2, Layout::Fzyx)
+            .fill_with(0, |x, _, _| x as f64);
+        launch.run(&mut store, &[], full, &ctx);
+        assert_eq!(store.get(b).get(0, 3, 1, 0), 2.0 + 4.0);
         if pf_trace::enabled() {
-            assert_eq!(misses() - m0, 2, "a new block shape re-resolves");
-            assert_eq!(hits() - h0, 4);
+            assert_eq!(binds() - b0, 2, "a changed geometry rebinds");
+        }
+
+        // An array with no ghost layer under the same field: the rebind's
+        // halo gate refuses the launch, and nothing was stored.
+        store.allocate(a, domain, 0, Layout::Fzyx);
+        let before = store.get(b).clone();
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            launch.run(&mut store, &[], full, &ctx)
+        }))
+        .expect_err("x±1 loads cannot fit ghost-less storage");
+        let msg = refused.downcast_ref::<String>().expect("assert message");
+        assert!(msg.contains("does not fit its bound storage"), "{msg}");
+        assert_eq!(store.get(b).data(), before.data());
+        if pf_trace::enabled() {
+            assert_eq!(binds() - b0, 2, "a refused rebind binds nothing");
         }
     }
 

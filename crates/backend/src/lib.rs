@@ -3,11 +3,12 @@
 //! Two consumers of the optimized kernel tape, both reading an arithmetic
 //! op through the one table in `pf_ir` (`UnOp`/`BinOp`):
 //!
-//! * [`run_kernel`] — the executor: the tape interpreted over real field
-//!   arrays — serially, or strip-mined over x-strips of [`STRIP_WIDTH`]
-//!   cells across the rayon pool (the explicitly vectorized OpenMP kernels
-//!   of §3.5) — or run as compiled code ([`ExecMode::Native`]). This is
-//!   what simulations and benchmarks in this reproduction actually run.
+//! * [`Launch`] — the executor: a tape bound once to real field arrays and
+//!   launched many times ([`run_kernel`] = bind, run once), interpreted
+//!   serially, or strip-mined over x-strips of [`STRIP_WIDTH`] cells across
+//!   the rayon pool (the explicitly vectorized OpenMP kernels of §3.5) — or
+//!   run as compiled code ([`ExecMode::Native`]). This is what simulations
+//!   and benchmarks in this reproduction actually run.
 //! * one loop-nest lowering ([`lower`]) with four targets: [`emit_rust`]
 //!   (scalar Rust, what [`native`] compiles with `rustc`, loads with
 //!   `dlopen` and dispatches through a typed C ABI, bitwise identical to
@@ -27,8 +28,8 @@ mod vector;
 
 pub use emit::{emit_c, emit_cuda, ThreadMapping};
 pub use exec::{
-    extended_range, run_kernel, run_kernel_checked, run_kernel_region, run_kernel_region_checked,
-    time_tapes, ExecError, ExecMode, RunCtx,
+    extended_range, run_kernel, run_kernel_region, time_sweeps, time_tapes, ExecError, ExecMode,
+    Launch, RunCtx,
 };
 pub use native::{
     clear_memory_cache, emit_rust, native_available, native_cache_dir, source_fingerprint,

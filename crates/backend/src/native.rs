@@ -30,15 +30,17 @@
 //! emitter would generate — a stale artifact (older emitter, wrong tape)
 //! fails the check and is recompiled; a corrupt one fails `dlopen` and is
 //! recompiled too. In-process, function pointers are cached in a global
-//! map for the process lifetime (handles are never `dlclose`d).
+//! map for the process lifetime (handles are never `dlclose`d); the map is
+//! consulted once per bind ([`crate::Launch`] keeps the pointer), not per
+//! launch.
 //!
-//! Counters: `exec.native.mem_hit` (in-process reuse),
+//! Counters (per bind): `exec.native.mem_hit` (in-process reuse),
 //! `exec.native.compile_hit` (valid disk artifact loaded),
 //! `exec.native.compile_miss` (rustc invoked), `exec.native.compile_fail`
-//! (launches that could not obtain a native kernel), `exec.native.stale`
+//! (binds that could not obtain a native kernel), `exec.native.stale`
 //! (disk artifact rejected and replaced).
 
-use crate::exec::{ExecError, RunCtx};
+use crate::exec::{ExecError, RunCtx, Slot};
 use crate::lower::{indent, loop_pos, lower_nest, Inner, Target};
 use pf_fields::FieldArray;
 use pf_grid::IterRegion;
@@ -93,18 +95,14 @@ pub(crate) type PfKernelFn = unsafe extern "C" fn(
 ) -> i32;
 
 enum CacheEntry {
-    Ready {
-        func: PfKernelFn,
-        /// Source fingerprint recorded at load; debug builds re-render on
-        /// every hit to expose structural_hash collisions (two different
-        /// tapes hashing equal would silently run the wrong machine code).
-        #[cfg(debug_assertions)]
-        fingerprint: u64,
-    },
+    Ready(PfKernelFn),
     /// Negative cache: rustc already failed for this tape under this
     /// compiler path. Re-keyed on the rustc path so tests (or operators)
     /// can repair `PF_NATIVE_RUSTC` without restarting the process.
-    Failed { rustc: String, detail: String },
+    Failed {
+        rustc: String,
+        detail: String,
+    },
 }
 
 // SAFETY: PfKernelFn is a plain code pointer into a never-unloaded dylib.
@@ -574,20 +572,8 @@ pub(crate) fn get_or_load(tape: &Tape) -> Result<PfKernelFn, ExecError> {
     let mut map = cache().lock().unwrap_or_else(|p| p.into_inner());
     let rustc = rustc_path();
     match map.get(&hash) {
-        Some(CacheEntry::Ready { func, .. }) => {
+        Some(CacheEntry::Ready(func)) => {
             bump("exec.native.mem_hit");
-            #[cfg(debug_assertions)]
-            {
-                if let Some(CacheEntry::Ready { fingerprint, .. }) = map.get(&hash) {
-                    debug_assert_eq!(
-                        *fingerprint,
-                        source_fingerprint(tape),
-                        "structural_hash collision: tape '{}' hashes 0x{hash:016x} but \
-                         renders different source than the cached kernel",
-                        tape.name
-                    );
-                }
-            }
             return Ok(*func);
         }
         Some(CacheEntry::Failed { rustc: r, detail }) if *r == rustc => {
@@ -629,14 +615,7 @@ pub(crate) fn get_or_load(tape: &Tape) -> Result<PfKernelFn, ExecError> {
         match load_artifact(&so_path) {
             Ok((func, meta)) if meta == want_meta => {
                 bump("exec.native.compile_hit");
-                map.insert(
-                    hash,
-                    CacheEntry::Ready {
-                        func,
-                        #[cfg(debug_assertions)]
-                        fingerprint: want_meta,
-                    },
-                );
+                map.insert(hash, CacheEntry::Ready(func));
                 return Ok(func);
             }
             Ok(_) | Err(_) => {
@@ -661,14 +640,7 @@ pub(crate) fn get_or_load(tape: &Tape) -> Result<PfKernelFn, ExecError> {
     match load_artifact(&so_path) {
         Ok((func, meta)) if meta == want_meta => {
             bump("exec.native.compile_miss");
-            map.insert(
-                hash,
-                CacheEntry::Ready {
-                    func,
-                    #[cfg(debug_assertions)]
-                    fingerprint: want_meta,
-                },
-            );
+            map.insert(hash, CacheEntry::Ready(func));
             Ok(func)
         }
         Ok((_, meta)) => fail(
@@ -680,15 +652,13 @@ pub(crate) fn get_or_load(tape: &Tape) -> Result<PfKernelFn, ExecError> {
 }
 
 /// Build the argument pack and invoke the compiled kernel over `region`.
+/// `slots` says, per field slot, which of `reads`/`writes` is bound to it.
 /// A nonzero return code is an ABI mismatch detected before any store.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn launch(
     func: PfKernelFn,
-    tape: &Tape,
+    slots: &[Slot],
     reads: &[&FieldArray],
     writes: &mut [FieldArray],
-    read_map: &[usize],
-    write_map: &[usize],
     params: &[f64],
     ctx: &RunCtx,
     region: IterRegion,
@@ -698,15 +668,14 @@ pub(crate) fn launch(
         .iter_mut()
         .map(|a| a.data_mut().as_mut_ptr())
         .collect();
-    let args: Vec<NativeField> = (0..tape.fields.len())
+    let args: Vec<NativeField> = slots
+        .iter()
         .map(|slot| {
-            let (arr, ptr): (&FieldArray, *mut f64) = if write_map[slot] != usize::MAX {
-                (&writes[write_map[slot]], write_ptrs[write_map[slot]])
-            } else {
-                let a = reads[read_map[slot]];
-                // Read-only slots are never stored through (the executor
-                // asserts no field is both read and written).
-                (a, a.data().as_ptr() as *mut f64)
+            let (arr, ptr): (&FieldArray, *mut f64) = match *slot {
+                Slot::Write(i) => (&writes[i], write_ptrs[i]),
+                // Read-only slots are never stored through (bind asserts
+                // no field is both read and written).
+                Slot::Read(i) => (reads[i], reads[i].data().as_ptr() as *mut f64),
             };
             let [sc, sx, sy, sz] = arr.strides();
             NativeField {
@@ -751,7 +720,7 @@ pub(crate) fn launch(
 
 /// Drop every in-process cache entry — resolved function pointers and
 /// negative (compile-failed) entries alike. Disk artifacts are untouched;
-/// the next launch re-validates them against the emitter fingerprint.
+/// the next bind re-validates them against the emitter fingerprint.
 /// Already-mapped kernel code is never unloaded, so function pointers
 /// handed out earlier stay valid. Use after repointing
 /// `PF_NATIVE_CACHE_DIR`/`PF_NATIVE_RUSTC`, or in tests that poison disk
@@ -933,7 +902,7 @@ mod tests {
         }
         let _ = get_or_load(&tape).expect_err("negative cache holds");
         if pf_trace::enabled() {
-            assert!(fails() - f0 >= 2, "every failed launch counts");
+            assert!(fails() - f0 >= 2, "every failed bind counts");
         }
         // Repairing the compiler path retries the compile.
         std::env::remove_var("PF_NATIVE_RUSTC");

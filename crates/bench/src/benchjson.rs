@@ -8,23 +8,23 @@
 //! metric snapshot rides along, so a bench artifact doubles as a runtime
 //! profile (kernel spans, comm counters, checkpoint drains).
 //!
-//! Schema `pf-bench/6` (v2 added the per-record execution `mode` and made
-//! `extra.analysis` mandatory — every artifact now proves which engine was
-//! measured and that static verification actually ran; v3 added
-//! `extra.measured_overlap` — the *measured* blocking-vs-overlapped
-//! distributed step-loop throughput on the bench host, mandatory for the
-//! comm-scheduling artifacts `table2` and `fig3` so the Table 2 overlap
-//! prediction is always printed next to a real measurement; v4 added
-//! `"native"` to the known execution modes — kernel records measured
-//! through the compiled-cdylib backend, whose `exec.native.*` cache
-//! counters ride along in `metrics`; v5 added `extra.tuning` — per-kernel
-//! autotuning outcomes with chosen-vs-best **regret**, mandatory for the
-//! tuned artifacts (`table1`) so tuning quality is a number the perf gate
-//! can fail on, not a log line; v6 added `extra.weak_scaling` — the
-//! measured-vs-predicted weak-scaling series over simulated rank counts at
-//! fixed per-rank volume, mandatory for the scaling artifact
-//! (`weak_scaling`) so parallel efficiency is gated against the
-//! `pf-cluster` prediction the same way ECM predictions gate kernels):
+//! Schema `pf-bench/6`. Every kernel record names the execution engine
+//! that measured it (`mode`, an [`ExecMode::name`]). `extra` is free-form
+//! except for the blocks in [`EXTRA_BLOCKS`], each checked wherever it
+//! appears and mandatory for the artifacts that exist to report it:
+//!
+//! * `analysis` (every artifact) — the static-verification statistics, so
+//!   an artifact proves its kernels were verified;
+//! * `measured_overlap` (`table2`, `fig3`) — the *measured*
+//!   blocking-vs-overlapped distributed step-loop throughput on the bench
+//!   host, printed next to the Table 2 overlap prediction;
+//! * `tuning` (`table1`) — per-kernel autotuning outcomes with
+//!   chosen-vs-best **regret**, so tuning quality is a number the perf gate
+//!   can fail on, not a log line;
+//! * `weak_scaling` (`weak_scaling`) — the measured-vs-predicted
+//!   weak-scaling series over simulated rank counts at fixed per-rank
+//!   volume, so parallel efficiency is gated against the `pf-cluster`
+//!   prediction the way ECM predictions gate kernels.
 //!
 //! ```text
 //! {
@@ -67,17 +67,22 @@ use std::collections::BTreeMap;
 /// Schema identifier; bump on breaking layout changes.
 pub const SCHEMA: &str = "pf-bench/6";
 
-/// Artifacts that exercise the communication-scheduling options and must
-/// therefore carry `extra.measured_overlap` (schema pf-bench/3).
-pub const COMM_ARTIFACTS: [&str; 2] = ["table2", "fig3"];
+/// Checks one `extra` block of the document `doc`, appending violations.
+type BlockCheck = fn(block: &Json, doc: &Json, out: &mut Vec<String>);
 
-/// Artifacts that run the autotuner and must therefore carry
-/// `extra.tuning` (schema pf-bench/5).
-pub const TUNED_ARTIFACTS: [&str; 1] = ["table1"];
-
-/// Artifacts that sweep simulated rank counts and must therefore carry
-/// `extra.weak_scaling` (schema pf-bench/6).
-pub const SCALING_ARTIFACTS: [&str; 1] = ["weak_scaling"];
+/// The `extra` blocks the schema defines: name, the artifacts that must
+/// carry it (`None`: every artifact), and its checker. A block is checked
+/// wherever it appears.
+pub const EXTRA_BLOCKS: [(&str, Option<&[&str]>, BlockCheck); 4] = [
+    ("analysis", None, check_analysis),
+    (
+        "measured_overlap",
+        Some(&["table2", "fig3"]),
+        check_measured_overlap,
+    ),
+    ("tuning", Some(&["table1"]), check_tuning),
+    ("weak_scaling", Some(&["weak_scaling"]), check_weak_scaling),
+];
 
 /// Required numeric fields of each `extra.weak_scaling.series[]` point.
 pub const WEAK_SCALING_POINT_FIELDS: [&str; 5] = [
@@ -289,10 +294,45 @@ impl BenchReport {
     }
 }
 
-/// Check a parsed document against the current [`SCHEMA`]. Returns every
-/// violation found (empty = valid).
+/// Check a parsed document against the current [`SCHEMA`]: the header, the
+/// kernel records, every [`EXTRA_BLOCKS`] entry that is present or required,
+/// and that `metrics` parses back. Returns every violation found (empty =
+/// valid).
 pub fn validate(j: &Json) -> Vec<String> {
     let mut out = Vec::new();
+    check_header(j, &mut out);
+    match j.get("extra").and_then(Json::as_obj) {
+        Some(extra) => {
+            let name = j.get("name").and_then(Json::as_str);
+            for (block, required_by, check) in EXTRA_BLOCKS {
+                let required = required_by.is_none_or(|by| name.is_some_and(|n| by.contains(&n)));
+                match extra.get(block) {
+                    Some(b) => check(b, j, &mut out),
+                    None if required => out.push(format!(
+                        "missing object field 'extra.{block}' (required for {})",
+                        required_by.map_or("every artifact".into(), |by| by.join(", "))
+                    )),
+                    None => {}
+                }
+            }
+        }
+        None => out.push("missing object field 'extra'".into()),
+    }
+    match j.get("metrics") {
+        Some(m) => {
+            if let Err(e) = Report::from_json(m) {
+                out.push(format!("metrics does not parse as a pf-trace report: {e}"));
+            }
+        }
+        None => out.push("missing object field 'metrics'".into()),
+    }
+    out
+}
+
+/// `schema`, `name`, `smoke`, `machine` and the kernel records: structure,
+/// value sanity (finite, positive throughputs, ratio consistent with
+/// measured/predicted) and `mode` a known engine.
+fn check_header(j: &Json, out: &mut Vec<String>) {
     match j.get("schema").and_then(Json::as_str) {
         Some(s) if s == SCHEMA => {}
         Some(s) => out.push(format!("schema is '{s}', expected '{SCHEMA}'")),
@@ -317,313 +357,237 @@ pub fn validate(j: &Json) -> Vec<String> {
         }
         None => out.push("missing object field 'machine'".into()),
     }
-    match j.get("kernels").and_then(Json::as_arr) {
-        Some([]) => out.push("kernels array is empty".into()),
-        Some(ks) => {
-            for (i, k) in ks.iter().enumerate() {
-                for field in ["params", "kernel", "variant"] {
-                    if k.get(field).and_then(Json::as_str).is_none() {
-                        out.push(format!("kernels[{i}].{field} missing"));
-                    }
-                }
-                match k.get("mode").and_then(Json::as_str) {
-                    Some(m) if m.parse::<ExecMode>().is_ok() => {}
-                    Some(m) => out.push(format!(
-                        "kernels[{i}].mode '{m}' not one of {:?}",
-                        exec_mode_names()
-                    )),
-                    None => out.push(format!("kernels[{i}].mode missing")),
-                }
-                let num = |f: &str| k.get(f).and_then(Json::as_f64);
-                match (num("measured_mlups"), num("predicted_mlups"), num("ratio")) {
-                    (Some(m), Some(p), Some(r)) => {
-                        if !(m.is_finite() && m > 0.0) {
-                            out.push(format!("kernels[{i}].measured_mlups must be finite > 0"));
-                        }
-                        if !(p.is_finite() && p > 0.0) {
-                            out.push(format!("kernels[{i}].predicted_mlups must be finite > 0"));
-                        }
-                        if m > 0.0 && p > 0.0 && ((r - m / p).abs() > 1e-9 * (m / p).abs()) {
-                            out.push(format!(
-                                "kernels[{i}].ratio {} inconsistent with measured/predicted {}",
-                                r,
-                                m / p
-                            ));
-                        }
-                    }
-                    _ => out.push(format!(
-                        "kernels[{i}] missing measured_mlups/predicted_mlups/ratio"
-                    )),
-                }
+    let Some(ks) = j.get("kernels").and_then(Json::as_arr) else {
+        return out.push("missing array field 'kernels'".into());
+    };
+    if ks.is_empty() {
+        out.push("kernels array is empty".into());
+    }
+    for (i, k) in ks.iter().enumerate() {
+        for field in ["params", "kernel", "variant"] {
+            if k.get(field).and_then(Json::as_str).is_none() {
+                out.push(format!("kernels[{i}].{field} missing"));
             }
         }
-        None => out.push("missing array field 'kernels'".into()),
+        match k.get("mode").and_then(Json::as_str) {
+            Some(m) if m.parse::<ExecMode>().is_ok() => {}
+            Some(m) => out.push(format!(
+                "kernels[{i}].mode '{m}' not one of {:?}",
+                exec_mode_names()
+            )),
+            None => out.push(format!("kernels[{i}].mode missing")),
+        }
+        let num = |f: &str| k.get(f).and_then(Json::as_f64);
+        match (num("measured_mlups"), num("predicted_mlups"), num("ratio")) {
+            (Some(m), Some(p), Some(r)) => {
+                if !(m.is_finite() && m > 0.0) {
+                    out.push(format!("kernels[{i}].measured_mlups must be finite > 0"));
+                }
+                if !(p.is_finite() && p > 0.0) {
+                    out.push(format!("kernels[{i}].predicted_mlups must be finite > 0"));
+                }
+                if m > 0.0 && p > 0.0 && ((r - m / p).abs() > 1e-9 * (m / p).abs()) {
+                    out.push(format!(
+                        "kernels[{i}].ratio {} inconsistent with measured/predicted {}",
+                        r,
+                        m / p
+                    ));
+                }
+            }
+            _ => out.push(format!(
+                "kernels[{i}] missing measured_mlups/predicted_mlups/ratio"
+            )),
+        }
     }
-    match j.get("extra").and_then(Json::as_obj) {
-        Some(extra) => {
-            // Since pf-bench/2 `analysis` is mandatory (and still in v3): an object of numeric
-            // statistics covering at least one verified kernel. An artifact
-            // without it means the static-verification stage silently never
-            // ran over the benched kernels.
-            match extra.get("analysis") {
-                Some(a) => match a.as_obj() {
-                    Some(stats) => {
-                        for (k, v) in stats {
-                            if v.as_f64().is_none() {
-                                out.push(format!("extra.analysis.{k} must be numeric"));
-                            }
-                        }
-                        match stats.get("kernels_verified").and_then(Json::as_f64) {
-                            Some(n) if n >= 1.0 => {}
-                            Some(_) => {
-                                out.push("extra.analysis.kernels_verified must be >= 1".into())
-                            }
-                            None => out
-                                .push("extra.analysis present but kernels_verified missing".into()),
-                        }
+}
+
+/// `extra.analysis`: an object of numeric statistics covering at least one
+/// verified kernel. An artifact without it means the static-verification
+/// stage silently never ran over the benched kernels.
+fn check_analysis(a: &Json, _doc: &Json, out: &mut Vec<String>) {
+    let Some(stats) = a.as_obj() else {
+        return out.push("extra.analysis must be an object".into());
+    };
+    for (k, v) in stats {
+        if v.as_f64().is_none() {
+            out.push(format!("extra.analysis.{k} must be numeric"));
+        }
+    }
+    match stats.get("kernels_verified").and_then(Json::as_f64) {
+        Some(n) if n >= 1.0 => {}
+        Some(_) => out.push("extra.analysis.kernels_verified must be >= 1".into()),
+        None => out.push("extra.analysis present but kernels_verified missing".into()),
+    }
+}
+
+/// `extra.measured_overlap`: the measured blocking-vs-overlapped
+/// comparison, every field positive and `speedup` their quotient.
+fn check_measured_overlap(mo: &Json, _doc: &Json, out: &mut Vec<String>) {
+    let Some(fields) = mo.as_obj() else {
+        return out.push("extra.measured_overlap must be an object".into());
+    };
+    for f in MEASURED_OVERLAP_FIELDS {
+        match fields.get(f).and_then(Json::as_f64) {
+            Some(v) if v.is_finite() && v > 0.0 => {}
+            _ => out.push(format!(
+                "extra.measured_overlap.{f} must be a finite number > 0"
+            )),
+        }
+    }
+    let n = |f: &str| fields.get(f).and_then(Json::as_f64);
+    if let (Some(b), Some(o), Some(s)) = (n("blocking_mlups"), n("overlapped_mlups"), n("speedup"))
+    {
+        if b > 0.0 && (s - o / b).abs() > 1e-9 * (o / b).abs() {
+            out.push(format!(
+                "extra.measured_overlap.speedup {s} inconsistent with \
+                 overlapped/blocking {}",
+                o / b
+            ));
+        }
+    }
+}
+
+/// `extra.tuning`: the autotuning outcome per kernel, well-formed and its
+/// regrets self-consistent, so the perf gate can trust `regret_chosen` as a
+/// gated number.
+fn check_tuning(t: &Json, _doc: &Json, out: &mut Vec<String>) {
+    let ks = match t.get("kernels").and_then(Json::as_arr) {
+        Some([]) | None => {
+            return out.push("extra.tuning.kernels must be a non-empty array".into());
+        }
+        Some(ks) => ks,
+    };
+    for (i, k) in ks.iter().enumerate() {
+        for f in TUNING_KERNEL_STR_FIELDS {
+            match k.get(f).and_then(Json::as_str) {
+                Some(v) if !v.is_empty() => {
+                    if f.ends_with("_mode") && v.parse::<ExecMode>().is_err() {
+                        out.push(format!(
+                            "extra.tuning.kernels[{i}].{f} '{v}' not one of {:?}",
+                            exec_mode_names()
+                        ));
                     }
-                    None => out.push("extra.analysis must be an object".into()),
-                },
-                None => out.push("missing object field 'extra.analysis'".into()),
-            }
-            // Since pf-bench/3: comm-scheduling artifacts carry the
-            // *measured* blocking-vs-overlapped comparison; any artifact
-            // that includes one must have it well-formed.
-            let needs_overlap = j
-                .get("name")
-                .and_then(Json::as_str)
-                .is_some_and(|n| COMM_ARTIFACTS.contains(&n));
-            match extra.get("measured_overlap") {
-                Some(mo) => match mo.as_obj() {
-                    Some(fields) => {
-                        for f in MEASURED_OVERLAP_FIELDS {
-                            match fields.get(f).and_then(Json::as_f64) {
-                                Some(v) if v.is_finite() && v > 0.0 => {}
-                                _ => out.push(format!(
-                                    "extra.measured_overlap.{f} must be a finite number > 0"
-                                )),
-                            }
-                        }
-                        let n = |f: &str| fields.get(f).and_then(Json::as_f64);
-                        if let (Some(b), Some(o), Some(s)) =
-                            (n("blocking_mlups"), n("overlapped_mlups"), n("speedup"))
-                        {
-                            if b > 0.0 && (s - o / b).abs() > 1e-9 * (o / b).abs() {
-                                out.push(format!(
-                                    "extra.measured_overlap.speedup {s} inconsistent with \
-                                     overlapped/blocking {}",
-                                    o / b
-                                ));
-                            }
-                        }
-                    }
-                    None => out.push("extra.measured_overlap must be an object".into()),
-                },
-                None if needs_overlap => out.push(
-                    "missing object field 'extra.measured_overlap' \
-                     (required for comm-scheduling artifacts)"
-                        .into(),
-                ),
-                None => {}
-            }
-            // Since pf-bench/5: tuned artifacts carry the autotuning
-            // outcome per kernel; wherever the block appears it must be
-            // well-formed and its regrets self-consistent, so the perf
-            // gate can trust `regret_chosen` as a gated number.
-            let needs_tuning = j
-                .get("name")
-                .and_then(Json::as_str)
-                .is_some_and(|n| TUNED_ARTIFACTS.contains(&n));
-            match extra.get("tuning") {
-                Some(t) => match t.get("kernels").and_then(Json::as_arr) {
-                    Some([]) | None => {
-                        out.push("extra.tuning.kernels must be a non-empty array".into())
-                    }
-                    Some(ks) => {
-                        for (i, k) in ks.iter().enumerate() {
-                            for f in TUNING_KERNEL_STR_FIELDS {
-                                match k.get(f).and_then(Json::as_str) {
-                                    Some(v) if !v.is_empty() => {
-                                        if f.ends_with("_mode") && v.parse::<ExecMode>().is_err() {
-                                            out.push(format!(
-                                                "extra.tuning.kernels[{i}].{f} '{v}' \
-                                                 not one of {:?}",
-                                                exec_mode_names()
-                                            ));
-                                        }
-                                    }
-                                    _ => out.push(format!(
-                                        "extra.tuning.kernels[{i}].{f} missing or empty"
-                                    )),
-                                }
-                            }
-                            let num = |f: &str| k.get(f).and_then(Json::as_f64);
-                            for f in TUNING_KERNEL_NUM_FIELDS {
-                                match num(f) {
-                                    Some(v) if v.is_finite() && v >= 0.0 => {}
-                                    _ => out.push(format!(
-                                        "extra.tuning.kernels[{i}].{f} must be finite >= 0"
-                                    )),
-                                }
-                            }
-                            if let (Some(best), Some(chosen), Some(stat), Some(rc), Some(rs)) = (
-                                num("best_mlups"),
-                                num("chosen_mlups"),
-                                num("static_mlups"),
-                                num("regret_chosen"),
-                                num("regret_static"),
-                            ) {
-                                if best <= 0.0 {
-                                    out.push(format!(
-                                        "extra.tuning.kernels[{i}].best_mlups must be > 0"
-                                    ));
-                                } else {
-                                    let tol = 1e-9;
-                                    if chosen > best * (1.0 + tol) || stat > best * (1.0 + tol) {
-                                        out.push(format!(
-                                            "extra.tuning.kernels[{i}]: best_mlups {best} is \
-                                             not the maximum of chosen {chosen} / static {stat}"
-                                        ));
-                                    }
-                                    let want_rc = (1.0 - chosen / best).max(0.0);
-                                    let want_rs = (1.0 - stat / best).max(0.0);
-                                    if (rc - want_rc).abs() > 1e-6 {
-                                        out.push(format!(
-                                            "extra.tuning.kernels[{i}].regret_chosen {rc} \
-                                             inconsistent with 1 - chosen/best = {want_rc}"
-                                        ));
-                                    }
-                                    if (rs - want_rs).abs() > 1e-6 {
-                                        out.push(format!(
-                                            "extra.tuning.kernels[{i}].regret_static {rs} \
-                                             inconsistent with 1 - static/best = {want_rs}"
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                },
-                None if needs_tuning => out.push(
-                    "missing object field 'extra.tuning' (required for tuned artifacts)".into(),
-                ),
-                None => {}
-            }
-            // Since pf-bench/6: scaling artifacts carry the weak-scaling
-            // series — measured and pf-cluster-predicted per-rank
-            // throughput over increasing simulated rank counts at fixed
-            // per-rank volume. The measured efficiency normalizes away the
-            // host's time-sharing of ranks onto `machine.threads_avail`
-            // threads (oversubscription factor max(1, ranks/threads)), so
-            // what remains is genuine runtime overhead and the gate can
-            // compare it against the analytic prediction.
-            let needs_scaling = j
-                .get("name")
-                .and_then(Json::as_str)
-                .is_some_and(|n| SCALING_ARTIFACTS.contains(&n));
-            let threads = j
-                .get("machine")
-                .and_then(|m| m.get("threads_avail"))
-                .and_then(Json::as_f64)
-                .unwrap_or(1.0);
-            match extra.get("weak_scaling") {
-                Some(ws) => match ws.as_obj() {
-                    Some(fields) => {
-                        for f in ["per_rank_cells", "steps"] {
-                            match fields.get(f).and_then(Json::as_f64) {
-                                Some(v) if v.is_finite() && v > 0.0 => {}
-                                _ => out.push(format!(
-                                    "extra.weak_scaling.{f} must be a finite number > 0"
-                                )),
-                            }
-                        }
-                        match fields.get("series").and_then(Json::as_arr) {
-                            Some([]) | None => out
-                                .push("extra.weak_scaling.series must be a non-empty array".into()),
-                            Some(pts) => {
-                                let mut prev_ranks = 0.0f64;
-                                let num = |p: &Json, f: &str| p.get(f).and_then(Json::as_f64);
-                                let base = pts.first().unwrap();
-                                for (i, p) in pts.iter().enumerate() {
-                                    for f in WEAK_SCALING_POINT_FIELDS {
-                                        match num(p, f) {
-                                            Some(v) if v.is_finite() && v > 0.0 => {}
-                                            _ => out.push(format!(
-                                                "extra.weak_scaling.series[{i}].{f} must be \
-                                                 a finite number > 0"
-                                            )),
-                                        }
-                                    }
-                                    if let Some(r) = num(p, "ranks") {
-                                        if r <= prev_ranks {
-                                            out.push(format!(
-                                                "extra.weak_scaling.series[{i}].ranks {r} not \
-                                                 strictly increasing"
-                                            ));
-                                        }
-                                        prev_ranks = r;
-                                    }
-                                    let corrected = |p: &Json| -> Option<f64> {
-                                        let r = num(p, "ranks")?;
-                                        Some(
-                                            num(p, "measured_mlups_per_rank")?
-                                                * (r / threads).max(1.0),
-                                        )
-                                    };
-                                    if let (Some(c), Some(c0), Some(eff)) = (
-                                        corrected(p),
-                                        corrected(base),
-                                        num(p, "measured_efficiency"),
-                                    ) {
-                                        let want = c / c0;
-                                        if (eff - want).abs() > 1e-6 * want.abs() {
-                                            out.push(format!(
-                                                "extra.weak_scaling.series[{i}].\
-                                                 measured_efficiency {eff} inconsistent with \
-                                                 oversubscription-corrected per-rank rates \
-                                                 ({want})"
-                                            ));
-                                        }
-                                    }
-                                    if let (Some(p_r), Some(p_0), Some(eff)) = (
-                                        num(p, "predicted_mlups_per_rank"),
-                                        num(base, "predicted_mlups_per_rank"),
-                                        num(p, "predicted_efficiency"),
-                                    ) {
-                                        let want = p_r / p_0;
-                                        if (eff - want).abs() > 1e-9 * want.abs() {
-                                            out.push(format!(
-                                                "extra.weak_scaling.series[{i}].\
-                                                 predicted_efficiency {eff} inconsistent with \
-                                                 predicted per-rank rates ({want})"
-                                            ));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    None => out.push("extra.weak_scaling must be an object".into()),
-                },
-                None if needs_scaling => out.push(
-                    "missing object field 'extra.weak_scaling' \
-                     (required for scaling artifacts)"
-                        .into(),
-                ),
-                None => {}
+                }
+                _ => out.push(format!("extra.tuning.kernels[{i}].{f} missing or empty")),
             }
         }
-        None => out.push("missing object field 'extra'".into()),
-    }
-    match j.get("metrics") {
-        Some(m) => {
-            if let Err(e) = Report::from_json(m) {
-                out.push(format!("metrics does not parse as a pf-trace report: {e}"));
+        let num = |f: &str| k.get(f).and_then(Json::as_f64);
+        for f in TUNING_KERNEL_NUM_FIELDS {
+            match num(f) {
+                Some(v) if v.is_finite() && v >= 0.0 => {}
+                _ => out.push(format!("extra.tuning.kernels[{i}].{f} must be finite >= 0")),
             }
         }
-        None => out.push("missing object field 'metrics'".into()),
+        let (Some(best), Some(chosen), Some(stat), Some(rc), Some(rs)) = (
+            num("best_mlups"),
+            num("chosen_mlups"),
+            num("static_mlups"),
+            num("regret_chosen"),
+            num("regret_static"),
+        ) else {
+            continue;
+        };
+        if best <= 0.0 {
+            out.push(format!("extra.tuning.kernels[{i}].best_mlups must be > 0"));
+            continue;
+        }
+        let tol = 1e-9;
+        if chosen > best * (1.0 + tol) || stat > best * (1.0 + tol) {
+            out.push(format!(
+                "extra.tuning.kernels[{i}]: best_mlups {best} is \
+                 not the maximum of chosen {chosen} / static {stat}"
+            ));
+        }
+        for (what, got, rate) in [("chosen", rc, chosen), ("static", rs, stat)] {
+            let want = (1.0 - rate / best).max(0.0);
+            if (got - want).abs() > 1e-6 {
+                out.push(format!(
+                    "extra.tuning.kernels[{i}].regret_{what} {got} \
+                     inconsistent with 1 - {what}/best = {want}"
+                ));
+            }
+        }
     }
-    out
+}
+
+/// `extra.weak_scaling`: measured and pf-cluster-predicted per-rank
+/// throughput over increasing simulated rank counts at fixed per-rank
+/// volume. The measured efficiency normalizes away the host's time-sharing
+/// of ranks onto `machine.threads_avail` threads (oversubscription factor
+/// max(1, ranks/threads)), so what remains is genuine runtime overhead and
+/// the gate can compare it against the analytic prediction.
+fn check_weak_scaling(ws: &Json, doc: &Json, out: &mut Vec<String>) {
+    let Some(fields) = ws.as_obj() else {
+        return out.push("extra.weak_scaling must be an object".into());
+    };
+    for f in ["per_rank_cells", "steps"] {
+        match fields.get(f).and_then(Json::as_f64) {
+            Some(v) if v.is_finite() && v > 0.0 => {}
+            _ => out.push(format!(
+                "extra.weak_scaling.{f} must be a finite number > 0"
+            )),
+        }
+    }
+    let pts = match fields.get("series").and_then(Json::as_arr) {
+        Some([]) | None => {
+            return out.push("extra.weak_scaling.series must be a non-empty array".into());
+        }
+        Some(pts) => pts,
+    };
+    let threads = doc
+        .get("machine")
+        .and_then(|m| m.get("threads_avail"))
+        .and_then(Json::as_f64)
+        .unwrap_or(1.0);
+    let num = |p: &Json, f: &str| p.get(f).and_then(Json::as_f64);
+    let corrected = |p: &Json| -> Option<f64> {
+        let r = num(p, "ranks")?;
+        Some(num(p, "measured_mlups_per_rank")? * (r / threads).max(1.0))
+    };
+    let base = &pts[0];
+    let mut prev_ranks = 0.0f64;
+    for (i, p) in pts.iter().enumerate() {
+        for f in WEAK_SCALING_POINT_FIELDS {
+            match num(p, f) {
+                Some(v) if v.is_finite() && v > 0.0 => {}
+                _ => out.push(format!(
+                    "extra.weak_scaling.series[{i}].{f} must be a finite number > 0"
+                )),
+            }
+        }
+        if let Some(r) = num(p, "ranks") {
+            if r <= prev_ranks {
+                out.push(format!(
+                    "extra.weak_scaling.series[{i}].ranks {r} not strictly increasing"
+                ));
+            }
+            prev_ranks = r;
+        }
+        if let (Some(c), Some(c0), Some(eff)) =
+            (corrected(p), corrected(base), num(p, "measured_efficiency"))
+        {
+            let want = c / c0;
+            if (eff - want).abs() > 1e-6 * want.abs() {
+                out.push(format!(
+                    "extra.weak_scaling.series[{i}].measured_efficiency {eff} inconsistent \
+                     with oversubscription-corrected per-rank rates ({want})"
+                ));
+            }
+        }
+        if let (Some(p_r), Some(p_0), Some(eff)) = (
+            num(p, "predicted_mlups_per_rank"),
+            num(base, "predicted_mlups_per_rank"),
+            num(p, "predicted_efficiency"),
+        ) {
+            let want = p_r / p_0;
+            if (eff - want).abs() > 1e-9 * want.abs() {
+                out.push(format!(
+                    "extra.weak_scaling.series[{i}].predicted_efficiency {eff} inconsistent \
+                     with predicted per-rank rates ({want})"
+                ));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -730,7 +694,7 @@ mod tests {
 
     #[test]
     fn analysis_extra_is_required_and_checked() {
-        // Absent: the schema (mandatory since v2) rejects it — verification never ran.
+        // Absent: the schema rejects it — verification never ran.
         let mut r = sample();
         r.extra.remove("analysis");
         let v = validate(&r.to_json());

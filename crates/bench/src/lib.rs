@@ -17,7 +17,7 @@
 //! This library holds the shared plumbing: canonical kernel builds, the
 //! measured-executor timing loop, and text rendering of series/tables.
 
-use pf_backend::{run_kernel, ExecMode, FieldStore, RunCtx};
+use pf_backend::{ExecMode, FieldStore, RunCtx};
 use pf_core::{generate_kernels, Family, KernelSet, ModelParams, Variant};
 use pf_fields::{FieldArray, Layout};
 use pf_ir::{insert_fences, rematerialize, schedule_min_live, GenOptions, Tape};
@@ -41,7 +41,7 @@ pub fn gpu_optimized(tape: &Tape) -> Tape {
 /// Build the canonical kernel set for a parameterization (defaults).
 ///
 /// The bench harness always runs the full pf-analyze verification suite
-/// over the set — schema `pf-bench/3` makes `extra.analysis` mandatory, so
+/// over the set — the schema makes `extra.analysis` mandatory, so
 /// every artifact proves the benched kernels were statically verified —
 /// even when the `PF_VERIFY` env gate that guards ordinary generation is
 /// off. (When the gate is on, `generate_kernels` already verified and
@@ -335,7 +335,7 @@ pub fn tune_reports(p: &ModelParams, ks: &KernelSet) -> Vec<pf_core::FamilyTuneR
 }
 
 /// Render per-parameterization tuning reports as the `extra.tuning`
-/// object of schema `pf-bench/5` (see `benchjson::TUNING_KERNEL_*`).
+/// object (see `benchjson::TUNING_KERNEL_*`).
 pub fn tuning_extra(per_params: &[(String, Vec<pf_core::FamilyTuneReport>)]) -> Json {
     let kernels: Vec<Json> = per_params
         .iter()
@@ -368,7 +368,11 @@ pub fn tuning_extra(per_params: &[(String, Vec<pf_core::FamilyTuneReport>)]) -> 
     Json::obj([("kernels".to_string(), Json::Arr(kernels))])
 }
 
-/// Measured executor throughput of one kernel variant, MLUP/s.
+/// Measured executor throughput of one kernel variant: MLUP/s of
+/// [`pf_backend::time_sweeps`] — the timed loop the autotuner's
+/// `extra.tuning` goes through too — over a fresh [`workload_store`],
+/// counting the block's *interior* cells (what a timestep advances; the
+/// tuner counts the extended range its face tapes actually sweep).
 pub fn measure_mlups(
     p: &ModelParams,
     ks: &KernelSet,
@@ -382,19 +386,9 @@ pub fn measure_mlups(
         dx: [p.dx; 3],
         ..RunCtx::default()
     };
-    // Warmup.
-    for t in tapes {
-        run_kernel(t, &mut store, &[], shape, &ctx, mode);
-    }
     let _span = pf_trace::span_lazy(|| format!("bench.measure.{}", tapes[0].name));
-    let t0 = Instant::now();
-    for _ in 0..sweeps {
-        for t in tapes {
-            run_kernel(t, &mut store, &[], shape, &ctx, mode);
-        }
-    }
-    let secs = t0.elapsed().as_secs_f64();
-    let cells = (shape[0] * shape[1] * shape[2]) as f64 * sweeps as f64;
+    let secs = pf_backend::time_sweeps(tapes, &mut store, &[], shape, &ctx, mode, sweeps);
+    let cells = (shape[0] * shape[1] * shape[2] * sweeps) as f64;
     let mlups = cells / secs / 1e6;
     if pf_trace::enabled() {
         pf_trace::gauge(&format!("bench.mlups.{}", tapes[0].name)).set(mlups);

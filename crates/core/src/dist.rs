@@ -523,7 +523,7 @@ fn with_taken_fields<R>(
 }
 
 /// One distributed timestep of Algorithm 1: interpret the plan's op list
-/// on this rank. The tapes are borrowed from the run's kernel set.
+/// on this rank, over the launches `sim` keeps of its kernel set.
 ///
 /// Every schedule the list can express leaves the same bits: the ghost
 /// layers do not depend on how much ran between a begin and its finish,
@@ -534,7 +534,6 @@ pub(crate) fn dist_step(
     comm: &mut Comm,
     dec: &Decomposition,
     cfg: &DistConfig,
-    kernels: &KernelSet,
     plan: &StepPlan,
 ) {
     let rank = comm.rank();
@@ -584,18 +583,15 @@ pub(crate) fn dist_step(
                     rank,
                 );
                 let t0 = std::time::Instant::now();
-                for tape in kernels.tapes(*phase, *variant) {
-                    let ext = pf_backend::extended_range(tape, sim.cfg.shape);
+                sim.sweep(*phase, *variant, |ext| {
                     let (interior, shells) = split_frontier(ext, w.lo, w.hi);
                     let regions = match part {
                         Part::Interior => vec![interior],
                         Part::Frontier => shells,
                     };
-                    for region in regions {
-                        cells.incr(region.cells() as u64);
-                        sim.run_region(tape, region);
-                    }
-                }
+                    cells.incr(regions.iter().map(|r| r.cells() as u64).sum());
+                    regions
+                });
                 // Halo messages were in flight for as long as this took.
                 if *part == Part::Interior {
                     pf_trace::counter_at("comm.overlap_window_ns", rank)
@@ -607,11 +603,11 @@ pub(crate) fn dist_step(
             // that would.
             StepOp::Project => {
                 let _span = pf_trace::span_at("dist.project", rank);
-                sim.project_simplex(kernels.fields.phi_dst);
+                sim.project_simplex(sim.kernels.fields.phi_dst);
             }
             StepOp::Swap => {
                 let _span = pf_trace::span_at("dist.swap", rank);
-                let f = kernels.fields;
+                let f = sim.kernels.fields;
                 sim.store.swap(f.phi_src, f.phi_dst);
                 sim.store.swap(f.mu_src, f.mu_dst);
             }
@@ -732,7 +728,7 @@ where
                         );
                     }
                 }
-                dist_step(&mut sim, &mut comm, &dec, cfg, kernels, &step_plan);
+                dist_step(&mut sim, &mut comm, &dec, cfg, &step_plan);
                 if let Some(ck) = &cfg.checkpoint {
                     let done = sim.step_count == steps as u64;
                     let periodic = ck.every > 0 && sim.step_count.is_multiple_of(ck.every);
@@ -1236,7 +1232,7 @@ mod tests {
             let mut sim = Simulation::new(p.clone(), ks.clone(), sim_cfg);
             sim.origin = block.origin;
             for _ in 0..steps {
-                dist_step(&mut sim, &mut comm, &dec, &dcfg, &ks, &plan);
+                dist_step(&mut sim, &mut comm, &dec, &dcfg, &plan);
             }
             let n = comm
                 .stats

@@ -162,7 +162,7 @@ pub(crate) fn all_tapes_mut(ks: &mut KernelSet) -> Vec<&mut Tape> {
 /// Stamp [`field_contract`] ranges onto every tape's `field_ranges`
 /// metadata (parallel to its field table). Analysis-only: the ranges are
 /// excluded from `Tape::structural_hash`, so stamping cannot invalidate
-/// native-code or plan caches.
+/// native-code or tuning caches.
 fn stamp_range_contracts(ks: &mut KernelSet) {
     let fields = ks.fields;
     for tape in all_tapes_mut(ks) {

@@ -15,7 +15,7 @@
 use crate::kernels::{KernelSet, SplitTapes};
 use crate::params::ModelParams;
 use crate::tune::Family;
-use pf_backend::{run_kernel, ExecMode, FieldStore, RunCtx};
+use pf_backend::{ExecMode, FieldStore, IterRegion, Launch, RunCtx};
 use pf_fields::{FieldArray, Layout};
 use pf_ir::Tape;
 use pf_symbolic::Field;
@@ -88,7 +88,15 @@ pub struct Simulation {
     pub step_count: u64,
     /// Global origin of this block (nonzero in distributed runs).
     pub origin: [i64; 3],
+    /// The launches of `kernels`' tapes, `[family][variant]`: bound to
+    /// `store` under the `cfg.mode` they are stamped with when the step
+    /// first sweeps that kernel, and only called from then on.
+    launches: [[Option<BoundKernel>; 2]; 2],
 }
+
+/// One kernel's launches, fluxes before the update, and the `cfg.mode`
+/// they were bound under.
+type BoundKernel = (ExecMode, Vec<Launch>);
 
 impl Simulation {
     /// Allocate all field storage ([`pf_grid::GHOST_LAYERS`] ghost layers —
@@ -121,6 +129,7 @@ impl Simulation {
             store,
             step_count: 0,
             origin: [0; 3],
+            launches: Default::default(),
         };
         // Pure liquid, µ = 0 everywhere.
         let liquid = sim.params.liquid_phase;
@@ -185,38 +194,18 @@ impl Simulation {
         }
     }
 
-    /// Run one tape over this block.
+    /// Run one tape — any tape, not only one of `kernels` — over this block:
+    /// bind, run once.
     pub fn run(&mut self, tape: &Tape) {
-        let ctx = self.ctx();
-        run_kernel(
-            tape,
-            &mut self.store,
-            &[],
-            self.cfg.shape,
-            &ctx,
-            self.cfg.mode,
-        );
+        let region = IterRegion::full(pf_backend::extended_range(tape, self.cfg.shape));
+        self.run_region(tape, region);
     }
 
-    /// Run one tape over a sub-region of its extended iteration range. The
-    /// overlapped distributed schedule uses this to sweep the interior
-    /// while halo messages are in flight, then the frontier shells after
-    /// the receives complete; cell semantics are keyed on absolute indices,
-    /// so the union of region launches is bitwise identical to [`Self::run`].
-    pub fn run_region(&mut self, tape: &Tape, region: pf_backend::IterRegion) {
+    /// [`Self::run`] over a sub-region of the tape's extended iteration
+    /// range; cell semantics are keyed on absolute indices, so the union of
+    /// region launches is bitwise identical to one full launch.
+    pub fn run_region(&mut self, tape: &Tape, region: IterRegion) {
         let ctx = self.ctx();
-        // A region too narrow along x to fill one SIMD strip would run
-        // entirely in the vectorized engine's scalar teardown loop; the
-        // serial engine does the same work without the strip bookkeeping.
-        // Engines are bitwise interchangeable, so this is purely speed.
-        let mode = match self.cfg.mode {
-            ExecMode::Vectorized
-                if region.hi[0].saturating_sub(region.lo[0]) < pf_backend::STRIP_WIDTH =>
-            {
-                ExecMode::Serial
-            }
-            m => m,
-        };
         pf_backend::run_kernel_region(
             tape,
             &mut self.store,
@@ -224,7 +213,7 @@ impl Simulation {
             self.cfg.shape,
             region,
             &ctx,
-            mode,
+            self.cfg.mode,
         );
     }
 
@@ -236,19 +225,31 @@ impl Simulation {
         self.run(&split.update);
     }
 
-    /// Run one family's kernel over this block, its tapes borrowed from the
-    /// kernel set.
-    fn sweep(&mut self, family: Family, variant: Variant) {
+    /// Run one family's kernel: each of its tapes, fluxes before the
+    /// update, over the regions `regions` picks of that tape's extended
+    /// iteration range. The tapes' launches are bound on first use and
+    /// again when `cfg.mode` was reassigned; every other call only runs
+    /// them. The overlapped distributed schedule sweeps the interior while
+    /// halo messages are in flight and the frontier shells after the
+    /// receives complete.
+    pub(crate) fn sweep(
+        &mut self,
+        family: Family,
+        variant: Variant,
+        mut regions: impl FnMut([usize; 3]) -> Vec<IterRegion>,
+    ) {
         let ctx = self.ctx();
-        for tape in self.kernels.tapes(family, variant) {
-            run_kernel(
-                tape,
-                &mut self.store,
-                &[],
-                self.cfg.shape,
-                &ctx,
-                self.cfg.mode,
-            );
+        let mode = self.cfg.mode;
+        let bound = &mut self.launches[family as usize][variant.code() as usize];
+        if bound.as_ref().is_none_or(|(m, _)| *m != mode) {
+            let tapes = self.kernels.tapes(family, variant);
+            let bind = |t: &Tape| Launch::bind_or_fall_back(t, &self.store, self.cfg.shape, mode);
+            *bound = Some((mode, tapes.into_iter().map(bind).collect()));
+        }
+        for launch in &mut bound.as_mut().expect("bound above").1 {
+            for region in regions(launch.extended_range()) {
+                launch.run(&mut self.store, &[], region, &ctx);
+            }
         }
     }
 
@@ -288,14 +289,17 @@ impl Simulation {
         self.apply_bc(f.phi_src);
         self.apply_bc(f.mu_src);
 
+        // One block, nothing in flight: every tape runs its whole range.
+        let whole = |ext| vec![IterRegion::full(ext)];
+
         // 1: φ update.
-        self.sweep(Family::Phi, self.cfg.phi_variant);
+        self.sweep(Family::Phi, self.cfg.phi_variant, whole);
         self.project_simplex(f.phi_dst);
         // 2: boundary handling on φ_dst (the µ kernel reads its neighbours).
         self.apply_bc(f.phi_dst);
 
         // 3: µ update.
-        self.sweep(Family::Mu, self.cfg.mu_variant);
+        self.sweep(Family::Mu, self.cfg.mu_variant, whole);
 
         // 5: swap.
         self.store.swap(f.phi_src, f.phi_dst);
@@ -448,16 +452,68 @@ mod tests {
 
     #[test]
     fn serial_and_vectorized_steps_agree() {
-        let run = |mode| {
+        let run = |modes: [ExecMode; 3]| {
             let mut sim = mini_sim([12, 12, 1]);
-            sim.cfg.mode = mode;
             seed_circle(&mut sim, 4.0);
-            sim.run_steps(3);
-            sim.phi().clone()
+            for mode in modes {
+                sim.cfg.mode = mode;
+                sim.step();
+            }
+            sim
         };
-        let a = run(ExecMode::Serial);
-        let b = run(ExecMode::Vectorized);
-        assert_eq!(a.max_abs_diff(&b), 0.0);
+        let a = run([ExecMode::Serial; 3]);
+        let b = run([ExecMode::Vectorized; 3]);
+        assert_eq!(a.phi().max_abs_diff(b.phi()), 0.0);
+        // Reassigning the engine between steps rebinds the launches the
+        // next step runs, and leaves the same bits.
+        let c = run([ExecMode::Serial, ExecMode::Serial, ExecMode::Vectorized]);
+        assert_eq!(a.phi().max_abs_diff(c.phi()), 0.0);
+        let bound = |sim: &Simulation| -> Vec<ExecMode> {
+            let phi = &sim.launches[Family::Phi as usize][sim.cfg.phi_variant.code() as usize];
+            let (_, launches) = phi.as_ref().expect("stepped");
+            launches.iter().map(Launch::mode).collect()
+        };
+        assert!(bound(&a).iter().all(|m| *m == ExecMode::Serial));
+        assert!(bound(&c).iter().all(|m| *m == ExecMode::Vectorized));
+    }
+
+    #[test]
+    fn a_steady_state_step_binds_nothing() {
+        if !pf_trace::enabled() {
+            return;
+        }
+        let p = crate::kernels::tests::mini_model();
+        let mut ks = generate_kernels(&p, &GenOptions::default());
+        // pf-trace's registry is process-wide and other tests launch the
+        // same kernels concurrently: count under names only this test uses.
+        for tape in crate::kernels::all_tapes_mut(&mut ks) {
+            tape.name = format!("bindonce_{}", tape.name);
+        }
+        let mut cfg = SimConfig::new([12, 12, 1]);
+        cfg.bc = [BcKind::Periodic; 3];
+        let mut sim = Simulation::new(p, ks, cfg);
+        seed_circle(&mut sim, 4.0);
+        let binds = |sim: &Simulation| -> Vec<(String, u64)> {
+            let count = |t: &&Tape| {
+                let n = pf_trace::counter(&format!("exec.bind.{}", t.name)).value();
+                (t.name.clone(), n)
+            };
+            sim.kernels.all_tapes().iter().map(count).collect()
+        };
+        sim.step();
+        // One bind per tape of the configured variants, none of the others.
+        let stepped: Vec<&Tape> = [
+            sim.kernels.tapes(Family::Phi, sim.cfg.phi_variant),
+            sim.kernels.tapes(Family::Mu, sim.cfg.mu_variant),
+        ]
+        .concat();
+        let first = binds(&sim);
+        for (name, n) in &first {
+            let want = stepped.iter().any(|t| t.name == *name) as u64;
+            assert_eq!(*n, want, "{name}");
+        }
+        sim.run_steps(4);
+        assert_eq!(binds(&sim), first, "only the first step binds");
     }
 
     #[test]

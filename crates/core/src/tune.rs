@@ -470,41 +470,45 @@ pub fn select_variants_tuned_in(
     shape: [usize; 3],
 ) -> TunedChoice {
     let stat = select_variants(ks, sock, cores, block);
-    let static_choice = |pred: [f64; 4]| TunedChoice {
-        phi: stat.phi,
-        mu: stat.mu,
-        mode: None,
-        source: ChoiceSource::Static,
-        predicted_mlups: pred,
-    };
-    let Some(cache) = cache else {
-        return static_choice(stat.predicted_mlups);
-    };
+    match cache.and_then(|c| load_both(c, ks, sock, shape)) {
+        Some((phi, mu, mode)) => TunedChoice {
+            phi: phi.variant,
+            mu: mu.variant,
+            mode: Some(mode),
+            source: ChoiceSource::Tuned,
+            predicted_mlups: stat.predicted_mlups,
+        },
+        None => TunedChoice {
+            phi: stat.phi,
+            mu: stat.mu,
+            mode: None,
+            source: ChoiceSource::Static,
+            predicted_mlups: stat.predicted_mlups,
+        },
+    }
+}
+
+/// Both families' cache entries for this (machine, kernel set, block shape)
+/// and the engine they imply. All-or-nothing — a lone hit is not enough to
+/// flip a configuration, so the launch decision is reproducible from a
+/// single cache state. One engine drives the whole step: the one measured
+/// fastest for the family that dominates the step time (the slower kernel).
+fn load_both(
+    cache: &TuneCache,
+    ks: &KernelSet,
+    sock: &CpuSocket,
+    shape: [usize; 3],
+) -> Option<(TuneEntry, TuneEntry, ExecMode)> {
     let machine_fp = sock.fingerprint();
     let phi = cache.load(machine_fp, family_fingerprint(ks, Family::Phi), shape);
     let mu = cache.load(machine_fp, family_fingerprint(ks, Family::Mu), shape);
-    match (phi, mu) {
-        (Some(phi), Some(mu)) => {
-            // One engine drives the whole step; follow the family that
-            // dominates the step time (the slower measured kernel).
-            let mode = if phi.measured_mlups <= mu.measured_mlups {
-                phi.mode
-            } else {
-                mu.mode
-            };
-            TunedChoice {
-                phi: phi.variant,
-                mu: mu.variant,
-                mode: Some(mode),
-                source: ChoiceSource::Tuned,
-                predicted_mlups: stat.predicted_mlups,
-            }
-        }
-        // A lone hit is not enough to flip the configuration: selection is
-        // all-or-nothing so the launch decision is reproducible from a
-        // single cache state.
-        _ => static_choice(stat.predicted_mlups),
-    }
+    let (phi, mu) = (phi?, mu?);
+    let mode = if phi.measured_mlups <= mu.measured_mlups {
+        phi.mode
+    } else {
+        mu.mode
+    };
+    Some((phi, mu, mode))
 }
 
 /// Launch-path engine consult: the measured-fastest execution engine for
@@ -519,21 +523,7 @@ pub fn tuned_exec_mode(
     sock: &CpuSocket,
     shape: [usize; 3],
 ) -> Option<ExecMode> {
-    let cache = cache?;
-    let machine_fp = sock.fingerprint();
-    let phi = cache.load(machine_fp, family_fingerprint(ks, Family::Phi), shape);
-    let mu = cache.load(machine_fp, family_fingerprint(ks, Family::Mu), shape);
-    match (phi, mu) {
-        // One engine drives the whole step; follow the time-dominant
-        // (slower measured) family. All-or-nothing, like the variant
-        // consult: a lone hit keeps the shape default.
-        (Some(phi), Some(mu)) => Some(if phi.measured_mlups <= mu.measured_mlups {
-            phi.mode
-        } else {
-            mu.mode
-        }),
-        _ => None,
-    }
+    load_both(cache?, ks, sock, shape).map(|(_, _, mode)| mode)
 }
 
 // ---------------------------------------------------------------------------

@@ -302,8 +302,8 @@ pub struct Tape {
     /// simplex projection). Analysis-only metadata: it seeds the interval
     /// dataflow pass and is deliberately **excluded from
     /// [`Tape::structural_hash`]** — contracts never change what a tape
-    /// computes, so stamping them must not invalidate resolved-plan or
-    /// compiled-code caches. Empty means "no contracts" (all unknown).
+    /// computes, so stamping them must not invalidate compiled-code or
+    /// tuning caches. Empty means "no contracts" (all unknown).
     pub field_ranges: Vec<Option<(f64, f64)>>,
 }
 
@@ -320,11 +320,12 @@ impl Tape {
     /// Stable fingerprint of everything execution-relevant in this tape:
     /// name, slot tables, instruction list, levels, loop order, iteration
     /// extent and approximation flags. Two tapes with equal hashes execute
-    /// identically over identically-shaped storage — which is what
-    /// executors key resolved-plan caches on. (Tapes carry no identity:
-    /// pipelines clone and mutate them freely, so a stored id would go
-    /// stale; a structural fingerprint cannot.) `field_ranges` is *not*
-    /// hashed: contracts are analysis-only and must not invalidate caches.
+    /// identically over identically-shaped storage — which is what the
+    /// native artifact cache and the tuning cache key on. (Tapes carry no
+    /// identity: pipelines clone and mutate them freely, so a stored id
+    /// would go stale; a structural fingerprint cannot.) `field_ranges` is
+    /// *not* hashed: contracts are analysis-only and must not invalidate
+    /// caches.
     pub fn structural_hash(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -643,8 +644,8 @@ mod tests {
 
     #[test]
     fn structural_hash_separates_near_miss_tapes() {
-        // Executors key plan caches — and the native backend keys compiled
-        // machine code — on `structural_hash`. A near-miss tape silently
+        // The native backend keys compiled machine code — and the tuner its
+        // decisions — on `structural_hash`. A near-miss tape silently
         // colliding would run the wrong kernel, so the classic close calls
         // must hash apart: swapped operands of a non-commutative op, and a
         // tape differing only in one constant.
@@ -688,7 +689,7 @@ mod tests {
         reordered.loop_order = [1, 2, 0];
         assert_ne!(base.structural_hash(), reordered.structural_hash());
         // Analysis-only contracts must NOT perturb the fingerprint: native
-        // code and resolved-plan caches key on it, and stamping contracts
+        // code and tuning caches key on it, and stamping contracts
         // after generation would otherwise invalidate every cached artifact.
         let mut contracted = base.clone();
         contracted.field_ranges = vec![Some((0.0, 1.0))];

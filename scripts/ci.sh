@@ -47,10 +47,21 @@ if grep -q 'emit-cc: SKIPPED' target/emit-cc.log; then
   echo "emitted C was NOT compiled: no cc on PATH" >&2; exit 1
 fi
 
-echo "== overlap-plan frontier check in a release build =="
-# check_frontier must not hide behind debug_assertions: a narrowed width
-# has to be refused by an optimized build too.
+echo "== overlap-plan frontier check and launch gates in a release build =="
+# Neither may hide behind debug_assertions: an optimized build too has to
+# refuse a narrowed frontier width, and — the geometry guard of a bound
+# launch and the halo gate behind it — an array swapped for one with
+# fewer ghost layers, before anything is stored.
 cargo test -q --release -p pf-core --lib narrowed_frontier_width_is_rejected
+cargo test -q --release -p pf-backend --lib \
+  a_launch_rebinds_exactly_when_the_storage_geometry_changes
+
+echo "== every PF_* switch the crates read is in the README table =="
+missing=0
+for v in $(grep -rhoE '"PF_[A-Z_]+"' crates | tr -d '"' | sort -u); do
+  grep -q "^| \`$v\` |" README.md || { echo "README table lacks $v" >&2; missing=1; }
+done
+[ "$missing" -eq 0 ]
 
 echo "== build with instrumentation compiled out =="
 # The pf-trace kill switch: without default features every probe must

@@ -8,8 +8,8 @@
 //! `emit.rs`/`simd.rs` read it too.
 
 use pf_backend::{
-    emit_c, emit_c_simd, emit_cuda, emit_rust, run_kernel, ExecMode, FieldStore, RunCtx, SimdIsa,
-    ThreadMapping,
+    emit_c, emit_c_simd, emit_cuda, emit_rust, run_kernel, ExecMode, FieldStore, IterRegion,
+    Launch, RunCtx, SimdIsa, ThreadMapping,
 };
 use pf_fields::{FieldArray, Layout};
 use pf_ir::{
@@ -155,8 +155,15 @@ fn ctx() -> RunCtx {
     }
 }
 
-/// Run `tape` over `domain`; returns (src, dst).
-fn sweep(tape: &Tape, domain: [usize; 3], mode: ExecMode) -> (FieldArray, FieldArray) {
+/// Run `tape` over `domain`; returns (src, dst). `halves`: through one
+/// [`Launch`] bound once and run twice, over the two halves of the x range,
+/// instead of one `run_kernel`.
+fn sweep(
+    tape: &Tape,
+    domain: [usize; 3],
+    mode: ExecMode,
+    halves: bool,
+) -> (FieldArray, FieldArray) {
     let (src, dst) = fields();
     let mut store = FieldStore::new();
     let a = store.allocate(src, domain, 1, Layout::Fzyx);
@@ -170,7 +177,16 @@ fn sweep(tape: &Tape, domain: [usize; 3], mode: ExecMode) -> (FieldArray, FieldA
         store.get_mut(src).apply_periodic(d);
     }
     store.allocate(dst, domain, 1, Layout::Fzyx);
-    run_kernel(tape, &mut store, &PARAMS, domain, &ctx(), mode);
+    if halves {
+        let mut launch = Launch::bind(tape, &store, domain, mode).expect("binds as asked");
+        let (mut low, mut high) = (IterRegion::full(domain), IterRegion::full(domain));
+        low.hi[0] = domain[0] / 2;
+        high.lo[0] = domain[0] / 2;
+        launch.run(&mut store, &PARAMS, low, &ctx());
+        launch.run(&mut store, &PARAMS, high, &ctx());
+    } else {
+        run_kernel(tape, &mut store, &PARAMS, domain, &ctx(), mode);
+    }
     (store.take(src), store.take(dst))
 }
 
@@ -229,16 +245,18 @@ fn every_op_agrees_across_the_engines_and_with_the_reference_interpreter() {
         );
         // Two strips + 3 cells, and a row shorter than one strip.
         for domain in [[19, 4, 3], [5, 3, 2]] {
-            let (src, serial) = sweep(&tape, domain, ExecMode::Serial);
+            let (src, serial) = sweep(&tape, domain, ExecMode::Serial, false);
             assert!(
                 serial.data().iter().all(|v| v.is_finite()),
                 "operands left an op's domain"
             );
-            let vectorized = sweep(&tape, domain, ExecMode::Vectorized).1;
-            assert_eq!(bits(&serial), bits(&vectorized), "Vectorized, {domain:?}");
-            if native {
-                let compiled = sweep(&tape, domain, ExecMode::Native).1;
-                assert_eq!(bits(&serial), bits(&compiled), "Native, {domain:?}");
+            let engines = [ExecMode::Serial, ExecMode::Vectorized, ExecMode::Native];
+            for mode in engines.into_iter().take(if native { 3 } else { 2 }) {
+                for halves in [false, true] {
+                    let got = sweep(&tape, domain, mode, halves).1;
+                    let what = format!("{mode:?}, {domain:?}, halves: {halves}");
+                    assert_eq!(bits(&serial), bits(&got), "{what}");
+                }
             }
             if approx {
                 continue; // the reference interpreter is exact-mode only
