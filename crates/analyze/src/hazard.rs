@@ -1,8 +1,8 @@
 //! Pass 3 — intra-sweep hazard detection.
 //!
 //! A tape is executed once per cell of a sweep, in an order the executor
-//! is free to choose (serial loop, rayon-parallel outer loop, GPU grid).
-//! Jacobi discipline — no cell may read what another cell of the *same*
+//! is free to choose (serial loop, per-thread slabs of the outer loop, GPU
+//! grid). Jacobi discipline — no cell may read what another cell of the *same*
 //! sweep writes — is what makes every order equivalent. The race detector
 //! flags any (store, load) pair on the same (field, component) whose
 //! offsets differ: cell `c` writes `c + store_off` while cell

@@ -5,29 +5,33 @@
 //! ([`Launch::bind`]: loads and stores resolved to (array, linear offset)
 //! pairs, every launch gate proved, the engine chosen) and then launched
 //! many times ([`Launch::run`]); the spatial loops execute the tape's level
-//! sections at the right loop depths (LICM hoisting). Two loop drivers
-//! interpret the tape: serial, and the strip-mined vectorized engine in
-//! [`crate::vector`] (the paper's explicitly vectorized kernels, §3.5),
-//! which runs slabs of the outermost loop across the rayon pool (the
-//! OpenMP analogue); the native engine runs it as compiled code.
+//! sections at the right loop depths (LICM hoisting).
 //!
-//! The only `unsafe` in the whole workspace lives in this crate: the
-//! vectorized engine's threads write disjoint outer-loop slabs of the
-//! destination arrays through a shared pointer ([`RawSlice`]), and
-//! [`crate::native`] calls into generated code. The disjointness invariant —
-//! every store hits the centre cell along the outer loop dimension, so two
-//! outer indices can never write the same address — is checked at bind,
-//! before any memory is touched; violations surface as a typed [`ExecError`]
-//! (and [`Launch::bind_or_fall_back`] binds the serial engine instead of
-//! racing).
+//! The unit of work is an [`IterRegion`], and an engine is "this bound tape
+//! over this region on the calling thread": the serial [`Cursor`], the
+//! strip-mined one in [`crate::vector`] (the explicitly vectorized kernels
+//! of §3.5), or the compiled nest of [`crate::native`]. Threads are this
+//! module's alone, as OpenMP is the framework's in the paper: a launch cuts
+//! its region into slabs along the outermost loop — a slab is a region, like
+//! a frontier shell — and runs them in one fork-join.
+//!
+//! The only `unsafe` in the whole workspace lives in this crate: the slabs'
+//! threads write disjoint parts of the destination arrays through a shared
+//! pointer ([`RawSlice`]), and [`crate::native`] calls into generated code.
+//! The disjointness invariant — every store hits the centre cell along the
+//! outer loop dimension, so two outer indices can never write the same
+//! address — is checked at bind, before any memory is touched; violations
+//! surface as a typed [`ExecError`] (and [`Launch::bind_or_fall_back`]
+//! binds the serial engine, which is never cut, instead of racing).
 
-use crate::native::PfKernelFn;
+use crate::native::{NativeField, PfKernelFn};
 use crate::store::FieldStore;
 use pf_fields::FieldArray;
 use pf_grid::IterRegion;
 use pf_ir::{Arith, Tape, TapeOp};
 use pf_rng::CellRng;
 use pf_symbolic::Field;
+use std::cell::Cell;
 
 /// Per-launch execution context.
 #[derive(Clone, Copy, Debug)]
@@ -61,8 +65,8 @@ impl Default for RunCtx {
 pub enum ExecMode {
     Serial,
     /// Strip-mined batch execution: interpret the tape over x-strips of
-    /// [`crate::STRIP_WIDTH`] cells with SoA lane registers, parallelized
-    /// over cache-blocked outer-loop slabs. Bitwise identical to `Serial`.
+    /// [`crate::STRIP_WIDTH`] cells with SoA lane registers. Bitwise
+    /// identical to `Serial`.
     Vectorized,
     /// Generated machine code: the tape is emitted as Rust source, compiled
     /// to a cdylib with the in-container `rustc` and dispatched through a
@@ -100,10 +104,10 @@ impl std::str::FromStr for ExecMode {
 /// the bound storage is untouched when an error is returned.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ExecError {
-    /// Vectorized execution partitions the outer spatial loop across
-    /// threads; a store at a nonzero offset along that dimension
-    /// would let two partitions write the same cell. Run such kernels
-    /// serially (or reschedule the store to the centre cell).
+    /// Every engine but Serial has its region cut into slabs along the
+    /// outer spatial loop; a store at a nonzero offset along that dimension
+    /// would let two slabs write the same cell. Run such kernels serially
+    /// (or reschedule the store to the centre cell).
     NonCentreStore {
         kernel: String,
         /// The outer loop dimension (`loop_order[0]`).
@@ -181,7 +185,7 @@ pub(crate) struct Plan {
 /// Where a field slot's array is during a run: borrowed from the store
 /// (`Read(i)` = the i-th read array) or taken out of it (`Write(i)`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Slot {
+enum Slot {
     Read(usize),
     Write(usize),
 }
@@ -266,9 +270,8 @@ fn resolve(tape: &Tape, geom: &[Geom], slots: &[Slot]) -> Plan {
     }
 }
 
-/// Shared mutable view over a write array for the vectorized engine's
-/// worker threads. Safety
-/// rests on the caller guaranteeing disjoint index sets per thread.
+/// Shared mutable view over a write array for the threads of one launch.
+/// Safety rests on the caller guaranteeing disjoint index sets per thread.
 #[derive(Clone, Copy)]
 pub(crate) struct RawSlice {
     ptr: *mut f64,
@@ -278,6 +281,17 @@ unsafe impl Send for RawSlice {}
 unsafe impl Sync for RawSlice {}
 
 impl RawSlice {
+    fn over(arrays: &mut [FieldArray]) -> Vec<RawSlice> {
+        let view = |a: &mut FieldArray| {
+            let d = a.data_mut();
+            RawSlice {
+                ptr: d.as_mut_ptr(),
+                len: d.len(),
+            }
+        };
+        arrays.iter_mut().map(view).collect()
+    }
+
     #[inline]
     pub(crate) unsafe fn write(&self, idx: usize, v: f64) {
         debug_assert!(idx < self.len);
@@ -575,14 +589,8 @@ impl Launch {
         let reads: Vec<&FieldArray> = self.fields(false).map(|f| store.get(f)).collect();
         let read_data: Vec<&[f64]> = reads.iter().map(|a| a.data()).collect();
 
+        let outer = tape.loop_order[0];
         let result = match &self.engine {
-            Engine::Native(func) => {
-                crate::native::launch(*func, &self.slots, &reads, &mut writes, params, ctx, region)
-                    .map_err(|code| ExecError::NativeAbi {
-                        kernel: tape.name.clone(),
-                        code,
-                    })
-            }
             // A region too narrow along x to fill one strip would run
             // entirely in the strip engine's scalar tear-down loop; the
             // serial driver does the same work over the same plan without
@@ -590,34 +598,43 @@ impl Launch {
             Engine::Vectorized(plan)
                 if region.hi[0].saturating_sub(region.lo[0]) >= crate::STRIP_WIDTH =>
             {
-                let raw: Vec<RawSlice> = writes
-                    .iter_mut()
-                    .map(|a| {
-                        let d = a.data_mut();
-                        RawSlice {
-                            ptr: d.as_mut_ptr(),
-                            len: d.len(),
-                        }
-                    })
-                    .collect();
-                crate::vector::run_vectorized(tape, plan, params, ctx, region, &read_data, &raw);
-                Ok(())
+                let raw = RawSlice::over(&mut writes);
+                fork_join(&partition(region, outer, workers()), &|slab| {
+                    Cursor::new(tape, plan, params, ctx, slab).run_strips(&read_data, &raw);
+                    Ok(())
+                })
             }
             Engine::Serial(plan) | Engine::Vectorized(plan) => {
                 let mut write_data: Vec<&mut [f64]> =
                     writes.iter_mut().map(|a| a.data_mut()).collect();
-                let mut regs = vec![0.0f64; tape.instrs.len()];
-                let cell = Cursor::new(tape, plan, params, ctx, region);
                 let mut write = |arr: usize, idx: usize, v: f64| write_data[arr][idx] = v;
-                // Sweep-invariant section; a store in it is discarded, as
-                // in every other engine (the levels pass pins stores per cell).
-                let mut discard = |_: usize, _: usize, _: f64| {};
-                cell.exec_section(&mut regs, &read_data, &mut discard, 0, plan.sec[0], [0; 3]);
-                let outer = tape.loop_order[0];
-                for o in region.lo[outer]..region.hi[outer] {
-                    cell.run_outer(&mut regs, &read_data, &mut write, o);
-                }
+                Cursor::new(tape, plan, params, ctx, region).run_cells(&read_data, &mut write);
                 Ok(())
+            }
+            Engine::Native(func) => {
+                let raw = RawSlice::over(&mut writes);
+                let fields: Vec<NativeField> = self
+                    .slots
+                    .iter()
+                    .zip(&self.geom)
+                    .map(|(slot, g)| NativeField {
+                        ptr: match *slot {
+                            Slot::Write(i) => raw[i].ptr,
+                            // Never stored through: bind asserts no field is
+                            // both read and written.
+                            Slot::Read(i) => read_data[i].as_ptr() as *mut f64,
+                        },
+                        base: g.base as i64,
+                        stride: g.strides.map(|s| s as i64),
+                    })
+                    .collect();
+                fork_join(&partition(region, outer, workers()), &|slab| {
+                    crate::native::call(*func, &fields, params, ctx, slab)
+                })
+                .map_err(|code| ExecError::NativeAbi {
+                    kernel: tape.name.clone(),
+                    code,
+                })
             }
         };
 
@@ -629,6 +646,69 @@ impl Launch {
     }
 }
 
+thread_local! {
+    /// Worker-count override installed by [`with_workers`]; 0 = use the
+    /// hardware parallelism.
+    static WORKERS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Run `f` with every launch made from this thread cut into at most
+/// `workers` slabs (0 = the hardware parallelism, the default): the one
+/// knob of the per-core scaling measurements.
+pub fn with_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+    let prev = WORKERS.with(|w| w.replace(workers));
+    let out = f();
+    WORKERS.with(|w| w.set(prev));
+    out
+}
+
+fn workers() -> usize {
+    match WORKERS.with(Cell::get) {
+        0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+        n => n,
+    }
+}
+
+/// Cut `region` along `dim` into at most `workers` slabs of near-equal
+/// extent: none empty, pairwise disjoint, tiling `region` exactly. An empty
+/// region has no slabs.
+fn partition(region: IterRegion, dim: usize, workers: usize) -> Vec<IterRegion> {
+    if region.is_empty() {
+        return Vec::new();
+    }
+    let (lo, span) = (region.lo[dim], region.hi[dim] - region.lo[dim]);
+    let n = workers.clamp(1, span);
+    (0..n)
+        .map(|i| {
+            let mut slab = region;
+            slab.lo[dim] = lo + span * i / n;
+            slab.hi[dim] = lo + span * (i + 1) / n;
+            slab
+        })
+        .collect()
+}
+
+/// The one fork-join: `run` over every slab, the first on the calling
+/// thread and each other one on a thread of its own. The first error (every
+/// slab of a launch fails alike, if any does) is the launch's.
+fn fork_join<E: Send>(
+    slabs: &[IterRegion],
+    run: &(impl Fn(IterRegion) -> Result<(), E> + Sync),
+) -> Result<(), E> {
+    let Some((&first, rest)) = slabs.split_first() else {
+        return Ok(());
+    };
+    std::thread::scope(|s| {
+        let spawned: Vec<_> = rest
+            .iter()
+            .map(|&slab| s.spawn(move || run(slab)))
+            .collect();
+        spawned.into_iter().fold(run(first), |done, slab| {
+            done.and(slab.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+        })
+    })
+}
+
 /// A launch asked for the strip engine and runs serially instead.
 fn count_serial_fallback(tape: &Tape) {
     if pf_trace::enabled() {
@@ -638,8 +718,8 @@ fn count_serial_fallback(tape: &Tape) {
 }
 
 /// The engine to try after `err`, counted under `exec.fallback.<kernel>`.
-/// An off-centre store needs the one engine that does not partition the
-/// outer loop. A native failure is never fatal: the vectorized interpreter
+/// An off-centre store needs the one engine whose region is never cut
+/// into slabs. A native failure is never fatal: the vectorized interpreter
 /// is bitwise identical (and a tape it rejects too lands on Serial next).
 fn fall_back(tape: &Tape, err: &ExecError) -> ExecMode {
     match err {
@@ -694,7 +774,7 @@ pub fn run_kernel_region(
     Launch::bind_or_fall_back(tape, store, domain, mode).run(store, params, region, ctx);
 }
 
-/// Loop driver holding the per-launch constants, shared by the serial and
+/// Loop driver holding the per-region constants, shared by the serial and
 /// the strip engine.
 pub(crate) struct Cursor<'a> {
     pub(crate) tape: &'a Tape,
@@ -785,6 +865,19 @@ impl<'a> Cursor<'a> {
             }
         };
         (v, None)
+    }
+
+    /// The serial engine: the tape over `self.region`, cell by cell.
+    fn run_cells(&self, read_data: &[&[f64]], write: &mut impl FnMut(usize, usize, f64)) {
+        let mut regs = vec![0.0f64; self.tape.instrs.len()];
+        // Sweep-invariant section; a store in it is discarded, as in every
+        // other engine (the levels pass pins stores per cell).
+        let s0 = self.plan.sec[0];
+        self.exec_section(&mut regs, read_data, &mut |_, _, _| {}, 0, s0, [0; 3]);
+        let outer = self.tape.loop_order[0];
+        for o in self.region.lo[outer]..self.region.hi[outer] {
+            self.run_outer(&mut regs, read_data, write, o);
+        }
     }
 
     /// Execute one outer-loop iteration (levels 1..3 at the right depths).
@@ -1112,6 +1205,35 @@ mod tests {
                 0.0,
                 "mode {mode:?}"
             );
+        }
+    }
+
+    proptest::proptest! {
+        /// A slab is a region: for any region, outer dimension and worker
+        /// count the slabs tile the region exactly — every cell in one slab,
+        /// no slab empty, at most `workers` of them, none for an empty region.
+        #[test]
+        fn slabs_tile_their_region_exactly(
+            lo in (0usize..4, 0usize..4, 0usize..4),
+            size in (0usize..7, 0usize..7, 0usize..7),
+            dim in 0usize..3,
+            workers in 1usize..=9,
+        ) {
+            let lo = [lo.0, lo.1, lo.2];
+            let hi = [lo[0] + size.0, lo[1] + size.1, lo[2] + size.2];
+            let region = IterRegion { lo, hi };
+            let slabs = partition(region, dim, workers);
+            assert!(slabs.len() <= workers && slabs.iter().all(|s| !s.is_empty()));
+            assert_eq!(slabs.is_empty(), region.is_empty());
+            assert_eq!(slabs.iter().map(IterRegion::cells).sum::<usize>(), region.cells());
+            for z in 0..hi[2] + 1 {
+                for y in 0..hi[1] + 1 {
+                    for x in 0..hi[0] + 1 {
+                        let covers = slabs.iter().filter(|s| s.contains([x, y, z])).count();
+                        assert_eq!(covers, usize::from(region.contains([x, y, z])));
+                    }
+                }
+            }
         }
     }
 

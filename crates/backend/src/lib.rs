@@ -5,10 +5,12 @@
 //!
 //! * [`Launch`] — the executor: a tape bound once to real field arrays and
 //!   launched many times ([`run_kernel`] = bind, run once), interpreted
-//!   serially, or strip-mined over x-strips of [`STRIP_WIDTH`] cells across
-//!   the rayon pool (the explicitly vectorized OpenMP kernels of §3.5) — or
-//!   run as compiled code ([`ExecMode::Native`]). This is what simulations
-//!   and benchmarks in this reproduction actually run.
+//!   serially, or strip-mined over x-strips of [`STRIP_WIDTH`] cells (the
+//!   explicitly vectorized kernels of §3.5) — or run as compiled code
+//!   ([`ExecMode::Native`]). An engine sweeps one [`IterRegion`] on the
+//!   calling thread; `Launch` cuts a launch's region into per-thread slabs
+//!   (the OpenMP analogue). This is what simulations and benchmarks in this
+//!   reproduction actually run.
 //! * one loop-nest lowering ([`lower`]) with four targets: [`emit_rust`]
 //!   (scalar Rust, what [`native`] compiles with `rustc`, loads with
 //!   `dlopen` and dispatches through a typed C ABI, bitwise identical to
@@ -28,8 +30,8 @@ mod vector;
 
 pub use emit::{emit_c, emit_cuda, ThreadMapping};
 pub use exec::{
-    extended_range, run_kernel, run_kernel_region, time_sweeps, time_tapes, ExecError, ExecMode,
-    Launch, RunCtx,
+    extended_range, run_kernel, run_kernel_region, time_sweeps, time_tapes, with_workers,
+    ExecError, ExecMode, Launch, RunCtx,
 };
 pub use native::{
     clear_memory_cache, emit_rust, native_available, native_cache_dir, source_fingerprint,

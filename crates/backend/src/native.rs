@@ -7,7 +7,8 @@
 //! self-contained Rust source file (the scalar Rust target of the one
 //! loop-nest lowering in [`crate::lower`]), compiled to a cdylib with the
 //! in-container `rustc`, loaded with `dlopen`, and dispatched through a
-//! typed `extern "C"` ABI.
+//! typed `extern "C"` ABI. `pf_kernel` is the plain loop nest over the box
+//! it is handed; which box, on which thread, is [`crate::Launch`]'s business.
 //!
 //! Bitwise identity with the interpreters is a hard contract
 //! (`tests/native_equivalence.rs`): the generated source performs exactly
@@ -40,9 +41,8 @@
 //! (binds that could not obtain a native kernel), `exec.native.stale`
 //! (disk artifact rejected and replaced).
 
-use crate::exec::{ExecError, RunCtx, Slot};
+use crate::exec::{ExecError, RunCtx};
 use crate::lower::{indent, loop_pos, lower_nest, Inner, Target};
-use pf_fields::FieldArray;
 use pf_grid::IterRegion;
 use pf_ir::interp::StoreKey;
 use pf_ir::{BinOp, Tape, TapeOp, UnOp, VReg};
@@ -65,7 +65,7 @@ const RTLD_NOW: c_int = 2;
 
 /// Bumped whenever the ABI below changes shape; folded into the source
 /// fingerprint so old artifacts self-invalidate.
-const ABI_TAG: &str = "pf-native-abi/1";
+const ABI_TAG: &str = "pf-native-abi/2";
 
 /// One field argument: raw data pointer plus the linear offset of cell
 /// (comp 0, 0,0,0) and the [comp, x, y, z] strides. Geometry travels here,
@@ -76,6 +76,11 @@ pub(crate) struct NativeField {
     pub base: i64,
     pub stride: [i64; 4],
 }
+
+// SAFETY: the pointer is dereferenced by generated code only, which reads
+// through it, or — a written field — stores to the slab its thread was
+// handed; slabs are disjoint by the `NonCentreStore` gate at bind.
+unsafe impl Sync for NativeField {}
 
 /// The generated kernel entry point. Returns 0 on success; nonzero codes
 /// are ABI mismatches detected before any store is executed.
@@ -91,7 +96,6 @@ pub(crate) type PfKernelFn = unsafe extern "C" fn(
     time: f64,
     timestep: u64,
     seed: u32,
-    n_threads: u64,
 ) -> i32;
 
 enum CacheEntry {
@@ -202,7 +206,8 @@ impl RustTarget<'_> {
 
 impl Target for RustTarget<'_> {
     /// Philox + approx-math preamble, the ABI struct, and the head of the
-    /// loop-nest body over one outer-loop chunk.
+    /// `pf_kernel` entry point: ABI checks, then the argument pack unpacked
+    /// into the names the nest uses.
     fn begin(&self) -> String {
         let tape = self.0;
         let n_fields = tape.fields.len();
@@ -222,19 +227,37 @@ impl Target for RustTarget<'_> {
             s,
             "#![allow(unused_variables, unused_parens, unused_mut, dead_code, unused_unsafe)]\n"
         );
-        // ABI structs.
         let _ = writeln!(
             s,
-            "#[repr(C)]\npub struct PfField {{ pub ptr: *mut f64, pub base: i64, pub stride: [i64; 4] }}\n\
-             unsafe impl Send for PfField {{}}\n\
-             unsafe impl Sync for PfField {{}}\n"
+            "#[repr(C)]\npub struct PfField {{ pub ptr: *mut f64, pub base: i64, pub stride: [i64; 4] }}\n"
         );
         s.push_str(PREAMBLE);
         let _ = writeln!(
             s,
-            "unsafe fn pf_body(\n    fields: &[PfField; {n_fields}],\n    params: &[f64; {n_params}],\n    \
-             lo: [usize; 3], hi: [usize; 3],\n    outer_lo: usize, outer_hi: usize,\n    \
-             origin: [i64; 3], dx: [f64; 3],\n    time: f64, timestep: u64, seed: u32,\n) {{"
+            "#[no_mangle]\npub unsafe extern \"C\" fn pf_kernel(\n    \
+             fields: *const PfField, n_fields: u64,\n    \
+             params: *const f64, n_params: u64,\n    \
+             lo: *const u64, hi: *const u64,\n    \
+             origin: *const i64, dx: *const f64,\n    \
+             time: f64, timestep: u64, seed: u32,\n) -> i32 {{\n    \
+             if n_fields != {n_fields} {{ return 1; }}\n    \
+             if n_params != {n_params} {{ return 2; }}\n    \
+             let fields: &[PfField; {n_fields}] = &*(fields as *const [PfField; {n_fields}]);"
+        );
+        if n_params > 0 {
+            let _ = writeln!(
+                s,
+                "    let params: &[f64; {n_params}] = &*(params as *const [f64; {n_params}]);"
+            );
+        } else {
+            let _ = writeln!(s, "    let params: &[f64; 0] = &[];");
+        }
+        let _ = writeln!(
+            s,
+            "    let lo = [*lo.add(0) as usize, *lo.add(1) as usize, *lo.add(2) as usize];\n    \
+             let hi = [*hi.add(0) as usize, *hi.add(1) as usize, *hi.add(2) as usize];\n    \
+             let origin = [*origin.add(0), *origin.add(1), *origin.add(2)];\n    \
+             let dx = [*dx.add(0), *dx.add(1), *dx.add(2)];"
         );
         for f in 0..n_fields {
             let _ = writeln!(
@@ -246,14 +269,11 @@ impl Target for RustTarget<'_> {
     }
 
     fn open(&self, pos: usize, _: Inner) -> String {
-        let ind = indent(pos);
-        match pos {
-            0 => format!("{ind}for i0 in outer_lo..outer_hi {{\n"),
-            _ => format!(
-                "{ind}for i{pos} in lo[{0}]..hi[{0}] {{\n",
-                self.0.loop_order[pos]
-            ),
-        }
+        format!(
+            "{}for i{pos} in lo[{1}]..hi[{1}] {{\n",
+            indent(pos),
+            self.0.loop_order[pos]
+        )
     }
 
     fn def(&self, i: usize, depth: usize, rhs: &str) -> String {
@@ -360,62 +380,8 @@ impl Target for RustTarget<'_> {
         format!("if {l} {} {r} {{ {t} }} else {{ {f} }}", op.symbol())
     }
 
-    /// The `pf_kernel` entry point: ABI checks, then serial or
-    /// outer-slab-threaded dispatch. Any outer-chunk split is bitwise-neutral:
-    /// cell semantics are keyed on absolute indices and stores hit the centre
-    /// cell along the outer dimension (enforced by the host before native
-    /// dispatch).
     fn end(&self) -> String {
-        let n_fields = self.0.fields.len();
-        let n_params = self.0.params.len();
-        let mut s = String::from("}\n\n");
-        let _ = writeln!(
-            s,
-            "#[no_mangle]\npub unsafe extern \"C\" fn pf_kernel(\n    \
-             fields: *const PfField, n_fields: u64,\n    \
-             params: *const f64, n_params: u64,\n    \
-             lo: *const u64, hi: *const u64,\n    \
-             origin: *const i64, dx: *const f64,\n    \
-             time: f64, timestep: u64, seed: u32,\n    n_threads: u64,\n) -> i32 {{\n    \
-             if n_fields != {n_fields} {{ return 1; }}\n    \
-             if n_params != {n_params} {{ return 2; }}\n    \
-             let fields: &[PfField; {n_fields}] = &*(fields as *const [PfField; {n_fields}]);"
-        );
-        if n_params > 0 {
-            let _ = writeln!(
-                s,
-                "    let params: &[f64; {n_params}] = &*(params as *const [f64; {n_params}]);"
-            );
-        } else {
-            let _ = writeln!(s, "    let params: &[f64; 0] = &[];");
-        }
-        let _ = write!(
-            s,
-            "    let lo = [*lo.add(0) as usize, *lo.add(1) as usize, *lo.add(2) as usize];\n    \
-             let hi = [*hi.add(0) as usize, *hi.add(1) as usize, *hi.add(2) as usize];\n    \
-             let origin = [*origin.add(0), *origin.add(1), *origin.add(2)];\n    \
-             let dx = [*dx.add(0), *dx.add(1), *dx.add(2)];\n    \
-             let o_lo = lo[{0}];\n    let o_hi = hi[{0}];\n    \
-             let span = o_hi.saturating_sub(o_lo);\n    \
-             let nt = if n_threads == 0 {{ 1 }} else {{ n_threads as usize }}.min(span.max(1));\n    \
-             if nt <= 1 {{\n        \
-             pf_body(fields, params, lo, hi, o_lo, o_hi, origin, dx, time, timestep, seed);\n    \
-             }} else {{\n        \
-             let chunk = span.div_ceil(nt);\n        \
-             std::thread::scope(|sc| {{\n            \
-             for t in 0..nt {{\n                \
-             let a = o_lo + t * chunk;\n                \
-             let b = (a + chunk).min(o_hi);\n                \
-             if a >= b {{ continue; }}\n                \
-             sc.spawn(move || unsafe {{\n                    \
-             pf_body(fields, params, lo, hi, a, b, origin, dx, time, timestep, seed)\n                \
-             }});\n            \
-             }}\n        \
-             }});\n    \
-             }}\n    0\n}}\n",
-            self.0.loop_order[0]
-        );
-        s
+        "    0\n}\n".into()
     }
 }
 
@@ -478,10 +444,6 @@ impl Drop for RemoveOnDrop {
     }
 }
 
-fn scopeguard_remove(p: &Path) -> RemoveOnDrop {
-    RemoveOnDrop(p.to_path_buf())
-}
-
 fn last_dl_error() -> String {
     unsafe {
         let e = dlerror();
@@ -517,7 +479,7 @@ fn load_artifact(path: &Path) -> Result<(PfKernelFn, u64), String> {
         .map_err(|e| format!("link artifact for load: {e}"))?;
     let c = std::ffi::CString::new(link.as_os_str().as_bytes())
         .map_err(|_| "artifact path contains NUL".to_string())?;
-    let _unlink = scopeguard_remove(&link);
+    let _unlink = RemoveOnDrop(link);
     unsafe {
         dlerror(); // clear any stale error
         let h = dlopen(c.as_ptr(), RTLD_NOW);
@@ -651,54 +613,25 @@ pub(crate) fn get_or_load(tape: &Tape) -> Result<PfKernelFn, ExecError> {
     }
 }
 
-/// Build the argument pack and invoke the compiled kernel over `region`.
-/// `slots` says, per field slot, which of `reads`/`writes` is bound to it.
-/// A nonzero return code is an ABI mismatch detected before any store.
-pub(crate) fn launch(
+/// Run the compiled kernel over `region` on the calling thread. A nonzero
+/// return code is an ABI mismatch detected before any store.
+pub(crate) fn call(
     func: PfKernelFn,
-    slots: &[Slot],
-    reads: &[&FieldArray],
-    writes: &mut [FieldArray],
+    fields: &[NativeField],
     params: &[f64],
     ctx: &RunCtx,
     region: IterRegion,
 ) -> Result<(), i32> {
-    // Write pointers first (mutable borrows), then assemble per-slot args.
-    let write_ptrs: Vec<*mut f64> = writes
-        .iter_mut()
-        .map(|a| a.data_mut().as_mut_ptr())
-        .collect();
-    let args: Vec<NativeField> = slots
-        .iter()
-        .map(|slot| {
-            let (arr, ptr): (&FieldArray, *mut f64) = match *slot {
-                Slot::Write(i) => (&writes[i], write_ptrs[i]),
-                // Read-only slots are never stored through (bind asserts
-                // no field is both read and written).
-                Slot::Read(i) => (reads[i], reads[i].data().as_ptr() as *mut f64),
-            };
-            let [sc, sx, sy, sz] = arr.strides();
-            NativeField {
-                ptr,
-                base: arr.index(0, 0, 0, 0) as i64,
-                stride: [sc as i64, sx as i64, sy as i64, sz as i64],
-            }
-        })
-        .collect();
-    let lo = [
-        region.lo[0] as u64,
-        region.lo[1] as u64,
-        region.lo[2] as u64,
-    ];
-    let hi = [
-        region.hi[0] as u64,
-        region.hi[1] as u64,
-        region.hi[2] as u64,
-    ];
+    let [lo, hi] = [region.lo, region.hi].map(|b| b.map(|v| v as u64));
+    // SAFETY: `func` was resolved from an artifact whose `pf_meta` matched
+    // this emitter's source for the bound tape, so it has the `PfKernelFn`
+    // signature and checks the two counts before it dereferences anything;
+    // `fields` point into the bound arrays, whose geometry the halo gate
+    // proved every access of `region` to fit.
     let rc = unsafe {
         func(
-            args.as_ptr(),
-            args.len() as u64,
+            fields.as_ptr(),
+            fields.len() as u64,
             params.as_ptr(),
             params.len() as u64,
             lo.as_ptr(),
@@ -708,13 +641,11 @@ pub(crate) fn launch(
             ctx.time,
             ctx.timestep,
             ctx.seed,
-            rayon::current_num_threads() as u64,
         )
     };
-    if rc == 0 {
-        Ok(())
-    } else {
-        Err(rc)
+    match rc {
+        0 => Ok(()),
+        rc => Err(rc),
     }
 }
 

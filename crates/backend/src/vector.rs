@@ -18,65 +18,36 @@
 //! Philox lanes are generated per strip from the stateless per-cell
 //! counters, so results are bitwise identical to serial execution.
 //!
-//! Parallelism: the outer spatial loop is split into cache-blocked slabs
-//! (a few per worker), each task sweeping whole (mid × x) planes; scratch
-//! buffers are created once per worker (`for_each_init`) instead of once
-//! per outer index.
+//! Threads are not this module's business: [`Cursor::run_strips`] sweeps
+//! the region it is given on the calling thread, and [`crate::Launch`] hands
+//! each thread of a launch one slab of the outer loop.
 
-use crate::exec::{Cursor, Plan, RawSlice, RunCtx, Step};
-use pf_grid::IterRegion;
-use pf_ir::{Arith, Tape, TapeOp};
-use rayon::prelude::*;
+use crate::exec::{Cursor, RawSlice, Step};
+use pf_ir::{Arith, TapeOp};
 
 /// Strip width W: f64 lanes of the widest supported ISA (AVX-512).
 pub const STRIP_WIDTH: usize = crate::simd::SimdIsa::Avx512.lanes();
 
 const W: usize = STRIP_WIDTH;
 
-/// Execute the resolved plan over a region of the extended domain with the
-/// strip engine. Caller guarantees `tape.loop_order[2] == 0` (x innermost)
-/// and centre stores along `loop_order[0]` (slab disjointness). Strips are
-/// phased from `region.lo[0]`; since every instruction is evaluated
-/// per-cell from absolute coordinates, strip phasing never changes values,
-/// so region launches stay bitwise identical to full sweeps.
-pub(crate) fn run_vectorized(
-    tape: &Tape,
-    plan: &Plan,
-    params: &[f64],
-    ctx: &RunCtx,
-    region: IterRegion,
-    read_data: &[&[f64]],
-    raw: &[RawSlice],
-) {
-    let order = tape.loop_order;
-    let outer_lo = region.lo[order[0]];
-    let outer_n = region.hi[order[0]].saturating_sub(outer_lo);
-    if outer_n == 0 {
-        return;
-    }
-    // Cache-blocked slabs: a few contiguous outer-index ranges per worker
-    // (load balance without per-index task overhead).
-    let workers = rayon::current_num_threads().max(1);
-    let slab = outer_n.div_ceil(workers * 4).max(1);
-    let n_slabs = outer_n.div_ceil(slab);
-    let n_regs = tape.instrs.len();
-    (0..n_slabs).into_par_iter().for_each_init(
-        || vec![0.0f64; n_regs * W],
-        |regs, si| {
-            let cur = Cursor::new(tape, plan, params, ctx, region);
-            // Sweep-invariant section, once per slab.
-            cur.exec_hoisted(regs, read_data, 0, plan.sec[0], [0; 3]);
-            let lo = outer_lo + si * slab;
-            let hi = (lo + slab).min(outer_lo + outer_n);
-            for o in lo..hi {
-                cur.run_outer_strips(regs, read_data, raw, o);
-            }
-        },
-    );
-}
-
 /// The strip engine's half of the loop driver.
 impl Cursor<'_> {
+    /// The strip engine: the tape over `self.region`. Caller guarantees
+    /// `tape.loop_order[2] == 0` (x innermost) and, when other threads sweep
+    /// other slabs, centre stores along `loop_order[0]`. Strips are phased
+    /// from `region.lo[0]`; since every instruction is evaluated per-cell
+    /// from absolute coordinates, strip phasing never changes values, so
+    /// region launches stay bitwise identical to full sweeps.
+    pub(crate) fn run_strips(&self, read_data: &[&[f64]], raw: &[RawSlice]) {
+        let mut regs = vec![0.0f64; self.tape.instrs.len() * W];
+        // Sweep-invariant section, once per region.
+        self.exec_hoisted(&mut regs, read_data, 0, self.plan.sec[0], [0; 3]);
+        let outer = self.tape.loop_order[0];
+        for o in self.region.lo[outer]..self.region.hi[outer] {
+            self.run_outer_strips(&mut regs, read_data, raw, o);
+        }
+    }
+
     /// One outer-loop iteration: hoisted sections at their depths, then the
     /// inner x loop in strips of W plus a scalar remainder.
     fn run_outer_strips(&self, regs: &mut [f64], read_data: &[&[f64]], raw: &[RawSlice], o: usize) {
@@ -140,8 +111,8 @@ impl Cursor<'_> {
             let (v, store) = self.eval::<W>(regs, read_data, i, idx3);
             if let Some((a, idx)) = store {
                 // SAFETY: index in bounds by plan construction; remainder
-                // cells belong to exactly one slab (disjointness is the
-                // same centre-store argument as the parallel scalar path).
+                // cells belong to exactly one slab (the same centre-store
+                // argument as the strip body's).
                 unsafe { raw[a].write(idx, v) };
             }
             regs[i * W] = v;

@@ -1,5 +1,5 @@
 //! Criterion benchmarks of generated-kernel execution: the µ/φ variants of
-//! Table 1 & Fig. 2 on the native executor, serial vs rayon-parallel, and
+//! Table 1 & Fig. 2 on the native executor, serial vs strip-mined, and
 //! the approximate-math modes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -15,8 +15,8 @@
 //! so its scaling is flatter than real hardware; the ECM series carries
 //! the hardware shape).
 
-use pf_backend::ExecMode;
-use pf_bench::{kernels_for, measure_mlups, with_threads};
+use pf_backend::{with_workers, ExecMode};
+use pf_bench::{kernels_for, measure_mlups};
 use pf_core::{p1, Family, Variant};
 use pf_ir::Tape;
 use pf_machine::skylake_8174;
@@ -114,10 +114,10 @@ fn main() {
             // Vectorized is the production engine: strip-mined inner loop,
             // slab-parallel over the pool, so it scales with `cores` like
             // the compiled code the ECM columns model.
-            let b_split = with_threads(cores, || {
+            let b_split = with_workers(cores, || {
                 measure_mlups(&p, &ks, &mu_split, shape, sweeps, ExecMode::Vectorized)
             }) / cores as f64;
-            let b_full = with_threads(cores, || {
+            let b_full = with_workers(cores, || {
                 measure_mlups(&p, &ks, &mu_full, shape, sweeps, ExecMode::Vectorized)
             }) / cores as f64;
             println!("{cores:7} | {e_split:12.1} | {e_full:11.1} | {b_split:14.3} | {b_full:13.3}");

@@ -6,8 +6,8 @@
 //! As predicted by the model, for P1 the full version performs better,
 //! while for P2 the φ-split kernel is the faster choice."
 
-use pf_backend::ExecMode;
-use pf_bench::{kernels_for, measure_mlups, with_threads};
+use pf_backend::{with_workers, ExecMode};
+use pf_bench::{kernels_for, measure_mlups};
 use pf_core::{p1, p2, Family, ModelParams, Variant};
 use pf_ir::Tape;
 use pf_machine::skylake_8174;
@@ -79,10 +79,10 @@ fn report(p: &ModelParams) -> Json {
         if cores <= avail {
             // Strip-mined vectorized engine: slab-parallel over the pool,
             // matching the compiled-code scaling the ECM columns model.
-            let bs = with_threads(cores, || {
+            let bs = with_workers(cores, || {
                 measure_mlups(p, &ks, &split, shape, sweeps, ExecMode::Vectorized)
             }) / cores as f64;
-            let bf = with_threads(cores, || {
+            let bf = with_workers(cores, || {
                 measure_mlups(p, &ks, &full, shape, sweeps, ExecMode::Vectorized)
             }) / cores as f64;
             println!("{cores:7} | {es:13.1} | {ef:12.1} | {bs:15.3} | {bf:14.3}");

@@ -214,11 +214,8 @@ pub fn standard_kernel_perf(p: &ModelParams, ks: &KernelSet) -> Vec<KernelPerf> 
                     .map(|_| measure_mlups(p, ks, &tapes, shape, sweeps, mode))
                     .fold(f64::MIN, f64::max)
             };
-            let measured = if matches!(mode, ExecMode::Serial) {
-                one()
-            } else {
-                with_threads(1, one)
-            };
+            // One slab: these are per-core figures (Serial is never cut).
+            let measured = pf_backend::with_workers(1, one);
             out.push(KernelPerf {
                 params: p.name.clone(),
                 kernel: kernel.into(),
@@ -463,16 +460,6 @@ pub fn overlap_workload() -> ([usize; 3], usize, usize) {
     } else {
         ([32, 32, 64], 2, 4)
     }
-}
-
-/// Run `f` inside a rayon pool of `threads` threads (per-core scaling
-/// measurements).
-pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool")
-        .install(f)
 }
 
 /// Render a two-column series as an aligned text block.

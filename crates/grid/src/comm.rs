@@ -12,9 +12,10 @@
 //!
 //! * every payload message carries a per-sender sequence number; receivers
 //!   deduplicate on `(from, seq)`, so duplicated deliveries are harmless;
-//! * senders keep recently sent messages in a bounded outbox keyed by
-//!   `(to, tag)` — tags are unique per run (they embed the step epoch), so
-//!   the key is unambiguous;
+//! * senders in a world with a fault plan keep recently sent messages in a
+//!   bounded outbox keyed by `(to, tag)` — tags are unique per run (they
+//!   embed the step epoch), so the key is unambiguous; without a plan the
+//!   channels lose nothing and no copy is kept;
 //! * a receiver that waits too long for a tag sends a retransmit request to
 //!   the expected sender; the sender services such requests from its outbox
 //!   whenever it is itself blocked in `recv`. Retransmitted copies bypass
@@ -374,7 +375,13 @@ impl Comm {
             .unwrap_or(false)
     }
 
+    /// Keep a copy of a sent payload for retransmission — in a world with a
+    /// fault plan only: without one the channels are lossless, so a receiver
+    /// that times out is waiting for a late sender, not for a lost message.
     fn remember(&mut self, to: usize, tag: u64, seq: u64, data: &[f64]) {
+        if self.faults.is_none() {
+            return;
+        }
         if self
             .outbox
             .insert((to, tag), (seq, data.to_vec()))
@@ -390,8 +397,9 @@ impl Comm {
     }
 
     /// Non-blocking tagged send (the `MPI_Isend` analogue — channel sends
-    /// never block). Subject to fault injection; the payload is retained in
-    /// the outbox so a dropped copy can be retransmitted on request.
+    /// never block). Subject to fault injection, in which case the payload
+    /// is retained in the outbox so a dropped copy can be retransmitted on
+    /// request.
     pub fn send(&mut self, to: usize, tag: u64, data: Vec<f64>) {
         self.stats.messages_sent.fetch_add(1, Ordering::Relaxed);
         self.stats
@@ -484,11 +492,13 @@ impl Comm {
 
     /// Service a retransmit request for `(requester, tag)` from the outbox.
     /// A request for a message not sent yet is ignored — the requester will
-    /// time out and ask again after we actually send it. A requester whose
-    /// endpoint is gone by the time we serve is also ignored: it either
-    /// received the original and finished, or it died — neither is *our*
-    /// failure, and treating it as one is what turns a single slow rank
-    /// into a world-wide cascade on oversubscribed hosts.
+    /// time out and ask again after we actually send it — and so is every
+    /// request in a world without a fault plan, whose outbox stays empty:
+    /// there the request is only the receiver's dead-peer probe. A requester
+    /// whose endpoint is gone by the time we serve is also ignored: it
+    /// either received the original and finished, or it died — neither is
+    /// *our* failure, and treating it as one is what turns a single slow
+    /// rank into a world-wide cascade on oversubscribed hosts.
     fn serve_retransmit(&mut self, requester: usize, tag: u64) {
         if let Some((seq, data)) = self.outbox.get(&(requester, tag)) {
             self.stats.retransmits.fetch_add(1, Ordering::Relaxed);
@@ -832,6 +842,30 @@ mod tests {
             // Without this rendezvous, a rank could exit while its peer
             // still needs a retransmission of a dropped message.
             c.shutdown_barrier();
+        });
+    }
+
+    #[test]
+    fn a_late_sender_is_served_no_retransmit_without_a_fault_plan() {
+        let served = std::sync::Barrier::new(2);
+        run_ranks(2, |mut c| {
+            if c.rank() == 0 {
+                // Late enough for rank 1 to time out and ask again, twice.
+                std::thread::sleep(3 * RETRY_TIMEOUT);
+                c.send(1, 5, vec![1.0, 2.0]);
+                // The reply queued behind rank 1's requests: every one of
+                // them has been through `accept` once it is here.
+                assert_eq!(c.recv(1, 6), Vec::<f64>::new());
+                served.wait();
+            } else {
+                assert_eq!(c.recv(0, 5), vec![1.0, 2.0]);
+                c.send(0, 6, Vec::new());
+                served.wait();
+                // No second copy of the payload waits to be dedup-dropped.
+                assert_eq!(c.receiver.try_iter().count(), 0);
+            }
+            assert_eq!(c.stats.retransmits.load(Ordering::Relaxed), 0);
+            assert!(c.outbox.is_empty(), "a lossless world keeps no copies");
         });
     }
 

@@ -141,6 +141,14 @@ else
   "$BIN/bench_check" validate "$NAT_DIR"/BENCH_table1.json
   grep -q '"mode": "native"' "$NAT_DIR/BENCH_table1.json" \
     || { echo "native smoke artifact carries no native records" >&2; exit 1; }
+  # A generated kernel is a plain loop nest: threads are `Launch`'s.
+  if grep -l thread "$NAT_DIR"/cache/pf_*.rs; then
+    echo "generated native source mentions threads" >&2; exit 1
+  fi
+fi
+# The engines' one fork-join is std::thread::scope in pf-backend.
+if grep -q rayon Cargo.lock; then
+  echo "Cargo.lock names rayon again" >&2; exit 1
 fi
 
 echo "== tune smoke =="

@@ -1,15 +1,16 @@
 //! The op table and the loop-nest lowering against everything that has its
 //! own opinion of an op: `pf_ir::interp_cell` and `pf_symbolic::Func::eval`
-//! (hand-written, independent), the three engines against each other, the
-//! parent commit's native source byte for byte, and the host C compiler.
+//! (hand-written, independent), the three engines against each other under
+//! every worker count, the pinned native source byte for byte, and the host
+//! C compiler.
 //!
 //! One hand-built tape carries every `TapeOp` variant, hoisted and per
 //! cell; the emitter checks that used to build their own sample kernels in
 //! `emit.rs`/`simd.rs` read it too.
 
 use pf_backend::{
-    emit_c, emit_c_simd, emit_cuda, emit_rust, run_kernel, ExecMode, FieldStore, IterRegion,
-    Launch, RunCtx, SimdIsa, ThreadMapping,
+    emit_c, emit_c_simd, emit_cuda, emit_rust, run_kernel, with_workers, ExecMode, FieldStore,
+    IterRegion, Launch, RunCtx, SimdIsa, ThreadMapping,
 };
 use pf_fields::{FieldArray, Layout};
 use pf_ir::{
@@ -243,7 +244,8 @@ fn every_op_agrees_across_the_engines_and_with_the_reference_interpreter() {
             0 < sec[0] && sec[0] < sec[1] && sec[1] < sec[2] && sec[2] < tape.instrs.len(),
             "all four level sections are populated: {sec:?}"
         );
-        // Two strips + 3 cells, and a row shorter than one strip.
+        // Two strips + 3 cells, and a row shorter than one strip. The outer
+        // (z) extents 3 and 2 lie below the larger worker counts.
         for domain in [[19, 4, 3], [5, 3, 2]] {
             let (src, serial) = sweep(&tape, domain, ExecMode::Serial, false);
             assert!(
@@ -252,10 +254,13 @@ fn every_op_agrees_across_the_engines_and_with_the_reference_interpreter() {
             );
             let engines = [ExecMode::Serial, ExecMode::Vectorized, ExecMode::Native];
             for mode in engines.into_iter().take(if native { 3 } else { 2 }) {
-                for halves in [false, true] {
-                    let got = sweep(&tape, domain, mode, halves).1;
-                    let what = format!("{mode:?}, {domain:?}, halves: {halves}");
-                    assert_eq!(bits(&serial), bits(&got), "{what}");
+                for workers in [1, 2, 3, 5] {
+                    for halves in [false, true] {
+                        let got = with_workers(workers, || sweep(&tape, domain, mode, halves)).1;
+                        let what =
+                            format!("{mode:?}, {domain:?}, halves: {halves}, {workers} workers");
+                        assert_eq!(bits(&serial), bits(&got), "{what}");
+                    }
                 }
             }
             if approx {
@@ -367,28 +372,46 @@ fn source_pin(tape: &Tape) -> u64 {
     h
 }
 
-/// `source_pin` of `pinned_tapes()` at 7e2e004 (PR 12), before the emitters
-/// became printers of one lowering. Native artifact caches key on this text.
-const PARENT_PINS: [u64; 12] = [
-    0x24a0_304a_7ec6_b47f,
-    0x0cc5_35c7_a38b_a864,
-    0x96e6_6a8e_a548_d46a,
-    0x5ebb_b91b_ce19_8a27,
-    0x038a_3237_9ae4_f2d1,
-    0xa4f8_7fc3_c48a_9e0c,
-    0xbec8_4363_4774_e32d,
-    0x0c1f_ab98_1d95_9423,
-    0xae2f_b0ed_e32a_0d8d,
-    0x864d_130b_7f81_13b4,
-    0x4088_39b9_d909_7dad,
-    0x7f15_0cae_c397_c31f,
+/// `source_pin` of `pinned_tapes()`. Native artifact caches key on this
+/// text. Moved once, on purpose, by PR 16 (`pf-native-abi/2`: `pf_kernel` is
+/// the plain loop nest, threads are `Launch`'s); before that the literals
+/// dated from 7e2e004 (PR 12).
+const PINS: [u64; 12] = [
+    0xe61f_e3e0_5ed8_97d5,
+    0x50e9_61ff_d423_1d6e,
+    0xece1_88c8_9250_e4c9,
+    0xe913_5329_589c_f0f3,
+    0xafae_8d1a_ecc4_a6e7,
+    0x1cd8_f9bd_c462_9097,
+    0xbbbd_3106_7b1a_9d21,
+    0x0602_5a8e_85ef_3ced,
+    0x0901_9d34_f34e_4a31,
+    0x990d_bf0a_d353_2216,
+    0x4167_afe4_92b0_1997,
+    0x022b_1319_c7c3_2403,
 ];
 
 #[test]
-fn native_source_is_byte_identical_to_the_parent_commits() {
-    for (tape, want) in pinned_tapes().iter().zip(PARENT_PINS) {
+fn native_source_is_pinned_and_a_plain_loop_nest() {
+    for (tape, want) in pinned_tapes().iter().zip(PINS) {
         let got = source_pin(tape);
         assert_eq!(got, want, "{}: 0x{got:016x}", tape.name);
+        let src = emit_rust(tape);
+        assert!(
+            !src.contains("thread"),
+            "{}: threads are Launch's",
+            tape.name
+        );
+        let exports: Vec<&str> = src
+            .split("#[no_mangle]\n")
+            .skip(1)
+            .map(|item| item.split('(').next().expect("a signature"))
+            .collect();
+        let (kernel, meta) = (
+            "pub unsafe extern \"C\" fn pf_kernel",
+            "pub extern \"C\" fn pf_meta",
+        );
+        assert_eq!(exports, [kernel, meta], "{}", tape.name);
     }
 }
 

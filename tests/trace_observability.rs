@@ -6,7 +6,6 @@
 //! runtime switch serialize on a mutex (cargo runs test fns on threads
 //! within one process).
 
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -47,11 +46,17 @@ fn concurrent_counter_increments_from_worker_pool_all_land() {
     let _g = lock();
     pf_trace::reset();
     pf_trace::set_enabled(true);
-    let touched = AtomicUsize::new(0);
-    (0..64usize).into_par_iter().for_each(|i| {
-        pf_trace::counter("it.pool_hits").incr(1);
-        pf_trace::counter_at("it.rank_hits", i % 4).incr(1);
-        touched.fetch_add(1, Ordering::SeqCst);
+    let touched = &AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for worker in 0..4usize {
+            s.spawn(move || {
+                for i in worker * 16..(worker + 1) * 16 {
+                    pf_trace::counter("it.pool_hits").incr(1);
+                    pf_trace::counter_at("it.rank_hits", i % 4).incr(1);
+                    touched.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
     });
     assert_eq!(touched.load(Ordering::SeqCst), 64);
     let r = pf_trace::snapshot();
